@@ -422,26 +422,43 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMissing measures the advertisement-response planning path
-// with sparse, large sequence numbers. The seed scanned every seq in
-// [1, upto] (O(upto) per advertisement); the engine now gap-walks the
-// held set, so a sparse author with seq up to 1000 costs what it holds.
+// BenchmarkStoreMissing measures the advertisement-response planning path.
+// "sparse" holds sparse, large sequence numbers, so Missing walks the
+// held seqs above the accounted floor (cost scales with what the node
+// has seen, not with upto). "caught-up" holds a contiguous run and asks
+// about it, the resync heartbeat's common case: O(1), zero allocations.
 func BenchmarkStoreMissing(b *testing.B) {
 	st := store.New(id.NewUserID("self"))
-	author := id.NewUserID("sparse-author")
-	for seq := uint64(1); seq <= 1000; seq += 97 {
+	put := func(author id.UserID, seq uint64) {
 		if _, err := st.Put(&msg.Message{
 			Author: author, Seq: seq, Kind: msg.KindPost, Created: time.Unix(1491472800, 0),
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := st.Missing(author, 1000); len(got) == 0 {
-			b.Fatal("bad missing set")
-		}
+	sparse, current := id.NewUserID("sparse-author"), id.NewUserID("caught-up-author")
+	for seq := uint64(1); seq <= 1000; seq += 97 {
+		put(sparse, seq)
 	}
+	for seq := uint64(1); seq <= 1000; seq++ {
+		put(current, seq)
+	}
+	b.Run("sparse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := st.Missing(sparse, 1000); len(got) == 0 {
+				b.Fatal("bad missing set")
+			}
+		}
+	})
+	b.Run("caught-up", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := st.Missing(current, 1000); got != nil {
+				b.Fatal("caught-up author reported missing seqs")
+			}
+		}
+	})
 }
 
 // BenchmarkStoreBufferPressure runs the constrained-device workload the

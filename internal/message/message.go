@@ -1506,16 +1506,39 @@ func (m *Manager) onAck(link *adhoc.Link, ack *wire.Ack) {
 	}
 }
 
-// sendRequest sends a pull request, chunking oversized want lists.
+// sendRequest sends a pull request in frames the serving peer accepts:
+// at most wire.MaxWants wants and oversizedWantSeqs seqs per frame, a
+// want longer than the remaining budget split across frames. A larger
+// frame would be scored as misbehaviour and refused, so an honest backlog
+// beyond oversizedWantSeqs would never sync.
 func (m *Manager) sendRequest(link *adhoc.Link, wants []wire.Want) {
-	for start := 0; start < len(wants); start += wire.MaxWants {
-		end := min(start+wire.MaxWants, len(wants))
-		if err := m.sendCounted(link, &wire.Request{Wants: wants[start:end]}, true); err != nil {
-			return
+	var frame []wire.Want
+	seqs := 0
+	send := func() bool {
+		if err := m.sendCounted(link, &wire.Request{Wants: frame}, true); err != nil {
+			return false
 		}
 		m.mu.Lock()
 		m.stats.RequestsSent++
 		m.mu.Unlock()
+		frame, seqs = nil, 0
+		return true
+	}
+	for _, w := range wants {
+		for rest := w.Seqs; len(rest) > 0; {
+			if len(frame) == wire.MaxWants || seqs == oversizedWantSeqs {
+				if !send() {
+					return
+				}
+			}
+			n := min(len(rest), oversizedWantSeqs-seqs)
+			frame = append(frame, wire.Want{Author: w.Author, Seqs: rest[:n]})
+			seqs += n
+			rest = rest[n:]
+		}
+	}
+	if len(frame) > 0 {
+		send()
 	}
 }
 

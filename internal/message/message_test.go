@@ -3,6 +3,8 @@ package message
 import (
 	"crypto/rand"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"sos/internal/pki"
 	"sos/internal/routing"
 	"sos/internal/store"
+	"sos/internal/wire"
 )
 
 func fixture(t *testing.T) (Config, *cloud.Credentials) {
@@ -126,5 +129,29 @@ func TestActiveLinksEmpty(t *testing.T) {
 	}
 	if got := m.Stats(); got != (Stats{}) {
 		t.Errorf("fresh Stats = %+v, want zero", got)
+	}
+}
+
+// TestForgedBeaconBoundedPlanning feeds PeerDiscovered a plaintext beacon
+// advertising absurd sequence numbers. Beacons are unauthenticated and
+// the discovery path plans against them before any handshake, so the
+// planning cost must be bounded by what one Want can carry, not by the
+// advertised number (seq 2^24 once cost 733 MB; 2^40 killed the node).
+func TestForgedBeaconBoundedPlanning(t *testing.T) {
+	cfg, _ := fixture(t)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ad := &wire.Advertisement{Peer: "mallory-phone", Gen: 1, Summary: map[id.UserID]uint64{
+		id.NewUserID("victim"):      1 << 40,
+		id.NewUserID("victim-tail"): math.MaxUint64,
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.PeerDiscovered("mallory-phone", ad)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("one forged beacon allocated %d bytes, want < 8 MiB", got)
 	}
 }

@@ -504,3 +504,58 @@ func TestLinkDropReconnectUsesDelta(t *testing.T) {
 		t.Errorf("stats recorded no delta ads: %+v", st)
 	}
 }
+
+// TestLargeBacklogSyncsInBoundedRequests syncs one author's backlog that
+// is longer than a single request frame may carry (the server refuses and
+// scores any frame asking for more than 16,384 seqs). The requester must
+// split its want list across accepted frames, so the whole backlog
+// arrives and the server records no misbehaviour.
+func TestLargeBacklogSyncsInBoundedRequests(t *testing.T) {
+	medium, svc := newLiveWorld(t)
+	creds, err := cloud.Bootstrap(svc, "alice", rand.Reader)
+	if err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	const backlog = 20_000
+	st := store.New(creds.Ident.User)
+	for seq := uint64(1); seq <= backlog; seq++ {
+		m := &msg.Message{
+			Author: creds.Ident.User, Seq: seq, Kind: msg.KindPost,
+			Created: time.Unix(1491472800, 0), Payload: []byte("backlog"),
+			CertDER: creds.Cert.DER,
+		}
+		if err := m.Sign(creds.Ident); err != nil {
+			t.Fatalf("Sign: %v", err)
+		}
+		if _, err := st.Put(m); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	alice, err := core.New(core.Config{
+		Creds: creds, Medium: medium, PeerName: "alice-phone", Store: st,
+	})
+	if err != nil {
+		t.Fatalf("core.New(alice): %v", err)
+	}
+	t.Cleanup(func() { alice.Close() })
+	bob := newLiveNode(t, medium, svc, "bob")
+
+	received := func() int {
+		bob.mu.Lock()
+		defer bob.mu.Unlock()
+		return len(bob.received)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for received() < backlog && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := received(); got != backlog {
+		t.Fatalf("bob received %d of %d backlog posts", got, backlog)
+	}
+	if got := alice.Stats().Message.MisbehaviorEvents; got != 0 {
+		t.Errorf("serving an honest backlog scored %d misbehavior events", got)
+	}
+	if got := bob.mw.Stats().Message.RequestsSent; got < 2 {
+		t.Errorf("a %d-seq backlog went out in %d request frames, want >= 2", backlog, got)
+	}
+}

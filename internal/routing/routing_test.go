@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,30 @@ func TestEpidemicWantsNothingWhenCurrent(t *testing.T) {
 	e := NewEpidemic(view, Options{})
 	if wants := e.Wants(map[id.UserID]uint64{alice: 2}); len(wants) != 0 {
 		t.Errorf("wants = %v, want none", wants)
+	}
+}
+
+// TestEpidemicWantsAllocBudget pins the cost of re-planning against a
+// peer view the node has caught up on, which is what every resync
+// heartbeat does on an idle link: a 10k-author view must plan nothing in
+// no allocations at all.
+func TestEpidemicWantsAllocBudget(t *testing.T) {
+	view := newView(t)
+	summary := make(map[id.UserID]uint64, 10_000)
+	for i := 0; i < 10_000; i++ {
+		author := id.NewUserID(fmt.Sprintf("author-%05d", i))
+		put(t, view, author, 1)
+		put(t, view, author, 2)
+		summary[author] = 2
+	}
+	e := NewEpidemic(view, Options{})
+	allocs := testing.AllocsPerRun(20, func() {
+		if wants := e.Wants(summary); len(wants) != 0 {
+			t.Fatalf("caught-up view planned %d wants", len(wants))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Epidemic.Wants over a caught-up 10k view = %v allocs, want 0", allocs)
 	}
 }
 

@@ -82,7 +82,12 @@ type Engine interface {
 	Changes(sinceGen uint64) (map[id.UserID]uint64, bool)
 
 	// Missing returns the sequence numbers in [1, upto] that the engine
-	// neither holds nor has deliberately evicted, in ascending order.
+	// neither holds nor has deliberately evicted, in ascending order,
+	// truncated to the lowest wire.MaxSeqsPerWant of them: upto comes from
+	// peer advertisements, unauthenticated beacons included, and no
+	// longer answer fits one Want. It returns nil when nothing is
+	// missing; for an author the engine has caught up on, it costs O(1)
+	// and allocates nothing.
 	Missing(author id.UserID, upto uint64) []uint64
 	// MessagesFrom returns copies of held messages by author with seq >
 	// after, ordered by sequence number.

@@ -17,6 +17,7 @@ package store
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"sos/internal/clock"
 	"sos/internal/id"
 	"sos/internal/msg"
+	"sos/internal/wire"
 )
 
 // Store is the in-memory storage engine: a thread-safe message database
@@ -40,9 +42,8 @@ type Store struct {
 
 	msgs     map[msg.Ref]*entry
 	byAuthor map[id.UserID]map[uint64]*entry
-	// maxSeq is the high-water mark of *seen* sequence numbers per
-	// author; eviction never lowers it.
-	maxSeq map[id.UserID]uint64
+	// index is the per-author sequence accounting (see authorIndex).
+	index map[id.UserID]authorIndex
 	// dropped holds eviction tombstones: refs once held and deliberately
 	// dropped, excluded from Missing and rejected on re-Put.
 	dropped map[id.UserID]map[uint64]bool
@@ -65,6 +66,22 @@ type Store struct {
 }
 
 var _ Engine = (*Store)(nil)
+
+// authorIndex is one author's sequence accounting. A seq is *accounted*
+// when it is held or tombstoned. The store maintains, per author:
+//
+//   - seen: the high-water mark of put sequence numbers (MaxSeq, the
+//     advertised summary value); eviction never lowers it.
+//   - floor: the largest k such that every seq in [1, k] is accounted.
+//     Invariant: floor == top, or floor+1 is unaccounted.
+//   - top: the largest accounted seq. A restored tombstone can lie above
+//     seen, so top is tracked apart from it.
+//
+// Missing answers a caught-up author (upto <= floor) without touching the
+// seq sets, and a contiguous one (top == floor) without walking them.
+type authorIndex struct {
+	seen, floor, top uint64
+}
 
 // entry is one held message plus its eviction bookkeeping.
 type entry struct {
@@ -95,7 +112,7 @@ func NewMemory(owner id.UserID, opts Options) *Store {
 		maxBytes:    opts.MaxBytes,
 		msgs:        make(map[msg.Ref]*entry),
 		byAuthor:    make(map[id.UserID]map[uint64]*entry),
-		maxSeq:      make(map[id.UserID]uint64),
+		index:       make(map[id.UserID]authorIndex),
 		dropped:     make(map[id.UserID]map[uint64]bool),
 		subs:        make(map[id.UserID]bool),
 		order:       list.New(),
@@ -148,10 +165,13 @@ func (s *Store) Put(m *msg.Message) (bool, error) {
 	e.elem = s.order.PushBack(e)
 	s.bytes += e.size
 	s.stats.Puts++
-	if ref.Seq > s.maxSeq[ref.Author] {
-		s.maxSeq[ref.Author] = ref.Seq
+	ix := s.index[ref.Author]
+	if ref.Seq > ix.seen {
+		ix.seen = ref.Seq
 		s.sum.bump(ref.Author, ref.Seq)
 	}
+	s.accountLocked(&ix, ref)
+	s.index[ref.Author] = ix
 	if ref.Author == s.owner && ref.Seq > s.ownSeq {
 		s.ownSeq = ref.Seq
 	}
@@ -266,15 +286,41 @@ func (s *Store) tombstoneLocked(ref msg.Ref) {
 		s.dropped[ref.Author] = perAuthor
 	}
 	perAuthor[ref.Seq] = true
+	ix := s.index[ref.Author]
+	s.accountLocked(&ix, ref)
 	if len(perAuthor) >= 2*maxTombstonesPerAuthor {
 		seqs := make([]uint64, 0, len(perAuthor))
 		for seq := range perAuthor {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
+		// Forgetting a tombstone unaccounts its seq (a tombstoned seq is
+		// never also held), so the lowest one forgotten at or below the
+		// floor reopens the range above it.
 		for _, seq := range seqs[:len(seqs)-maxTombstonesPerAuthor] {
 			delete(perAuthor, seq)
+			if seq <= ix.floor {
+				ix.floor = seq - 1
+			}
 		}
+	}
+	s.index[ref.Author] = ix
+}
+
+// accountLocked records that ref just became accounted (held or
+// tombstoned), raising top and, when ref closes the gap above the floor,
+// advancing the floor over every accounted seq that follows. Each advance
+// step passes a seq the floor never passes again until pruning lowers it,
+// so maintenance is amortized O(1) per accounted seq.
+func (s *Store) accountLocked(ix *authorIndex, ref msg.Ref) {
+	ix.top = max(ix.top, ref.Seq)
+	if ref.Seq != ix.floor+1 {
+		return
+	}
+	held, tombs := s.byAuthor[ref.Author], s.dropped[ref.Author]
+	ix.floor++
+	for ix.floor < ix.top && (held[ix.floor+1] != nil || tombs[ix.floor+1]) {
+		ix.floor++
 	}
 }
 
@@ -354,7 +400,7 @@ func (s *Store) Len() int {
 func (s *Store) MaxSeq(author id.UserID) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.maxSeq[author]
+	return s.index[author].seen
 }
 
 // Summary returns the plain-text advertisement dictionary: for every
@@ -387,38 +433,54 @@ func (s *Store) Generation() uint64 {
 	return s.sum.generation()
 }
 
-// Missing returns the sequence numbers in [1, upto] that the store
-// neither holds nor has evicted, in ascending order. A browsing node uses
-// this to build its message request after seeing an advertisement. The
-// complement is computed by gap-walking the held and tombstoned sequence
-// sets, so cost scales with what the node has seen, not with upto.
+// Missing returns the lowest wire.MaxSeqsPerWant sequence numbers in
+// [1, upto] that the store neither holds nor has evicted, in ascending
+// order. A browsing node uses this to build its message request after
+// seeing an advertisement. Cost is O(1) with no allocation for an author
+// the store has caught up on (upto at or below the accounted floor) and
+// O(output) for one whose accounted seqs are contiguous; otherwise only
+// the accounted seqs above the floor are walked.
 func (s *Store) Missing(author id.UserID, upto uint64) []uint64 {
 	s.mu.RLock()
-	held := s.byAuthor[author]
-	tombs := s.dropped[author]
-	accounted := make([]uint64, 0, len(held)+len(tombs))
+	ix := s.index[author]
+	if upto <= ix.floor {
+		s.mu.RUnlock()
+		return nil
+	}
+	if ix.top == ix.floor {
+		s.mu.RUnlock()
+		missing := make([]uint64, min(upto-ix.floor, wire.MaxSeqsPerWant))
+		for i := range missing {
+			missing[i] = ix.floor + 1 + uint64(i)
+		}
+		return missing
+	}
+	held, tombs := s.byAuthor[author], s.dropped[author]
+	var above []uint64
 	for seq := range held {
-		if seq <= upto {
-			accounted = append(accounted, seq)
+		if seq > ix.floor && seq <= upto {
+			above = append(above, seq)
 		}
 	}
 	for seq := range tombs {
-		if seq <= upto && held[seq] == nil {
-			accounted = append(accounted, seq)
+		if seq > ix.floor && seq <= upto {
+			above = append(above, seq)
 		}
 	}
 	s.mu.RUnlock()
 
-	sort.Slice(accounted, func(i, j int) bool { return accounted[i] < accounted[j] })
-	var missing []uint64
-	next := uint64(1)
-	for _, seq := range accounted {
-		for ; next < seq; next++ {
+	slices.Sort(above)
+	// Held and tombstoned seqs are disjoint, so the capacity is exactly
+	// the missing count, bounded to one want; the walk fills it.
+	missing := make([]uint64, 0, min(upto-ix.floor-uint64(len(above)), wire.MaxSeqsPerWant))
+	next := ix.floor + 1
+	for _, seq := range above {
+		for ; next < seq && len(missing) < cap(missing); next++ {
 			missing = append(missing, next)
 		}
 		next = seq + 1
 	}
-	for ; next <= upto; next++ {
+	for ; len(missing) < cap(missing); next++ {
 		missing = append(missing, next)
 	}
 	return missing

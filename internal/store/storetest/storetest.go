@@ -10,6 +10,7 @@ package storetest
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"sos/internal/id"
 	"sos/internal/msg"
 	"sos/internal/store"
+	"sos/internal/wire"
 )
 
 // World is one isolated storage universe. Open opens an engine over the
@@ -46,6 +48,11 @@ func Run(t *testing.T, mk func(t *testing.T) World) {
 	t.Run("DuplicatePuts", func(t *testing.T) { testDuplicates(t, mk(t)) })
 	t.Run("SummaryAndGeneration", func(t *testing.T) { testSummary(t, mk(t)) })
 	t.Run("MissingGapWalk", func(t *testing.T) { testMissing(t, mk(t)) })
+	t.Run("MissingBounded", func(t *testing.T) { testMissingBounded(t, mk(t)) })
+	t.Run("FloorGapsFilledOutOfOrder", func(t *testing.T) { testFloorOutOfOrder(t, mk(t)) })
+	t.Run("FloorEvictionClosesGap", func(t *testing.T) { testFloorEviction(t, mk(t)) })
+	t.Run("FloorTombstonePruning", func(t *testing.T) { testFloorPruning(t, mk(t)) })
+	t.Run("FloorRestoredTombstonesAboveMaxSeq", func(t *testing.T) { testFloorRestoredTombstones(t, mk(t)) })
 	t.Run("ChangesDelta", func(t *testing.T) { testChanges(t, mk(t)) })
 	t.Run("ChangesStriped", func(t *testing.T) { testChangesStriped(t, mk(t)) })
 	t.Run("Subscriptions", func(t *testing.T) { testSubscriptions(t, mk(t)) })
@@ -168,6 +175,138 @@ func testMissing(t *testing.T, w World) {
 	}
 	if got := e.Select(bob, []uint64{1, 2, 3}); len(got) != 2 {
 		t.Errorf("Select = %d messages, want 2", len(got))
+	}
+}
+
+// seqRange returns [from, to] as a slice.
+func seqRange(from, to uint64) []uint64 {
+	var out []uint64
+	for seq := from; seq <= to; seq++ {
+		out = append(out, seq)
+	}
+	return out
+}
+
+// testMissingBounded checks that Missing never returns more than one
+// encodable want's worth of seqs, whatever a peer advertises: upto comes
+// straight from unauthenticated beacons, so an unbounded answer is a
+// remote memory exhaustion.
+func testMissingBounded(t *testing.T, w World) {
+	e := w.Open(t, store.Options{})
+	defer e.Close()
+	mustPut(t, e, post(bob, 1, "b1"))
+	mustPut(t, e, post(bob, 3, "b3"))
+	lowest := seqRange(1, wire.MaxSeqsPerWant)
+	gapped := append([]uint64{2}, seqRange(4, wire.MaxSeqsPerWant+2)...)
+	for _, upto := range []uint64{1 << 24, 1 << 40, math.MaxUint64} {
+		if got := e.Missing(carol, upto); !reflect.DeepEqual(got, lowest) {
+			t.Errorf("Missing(unknown, %d) = %d seqs, want the lowest %d", upto, len(got), len(lowest))
+		}
+		if got := e.Missing(bob, upto); !reflect.DeepEqual(got, gapped) {
+			t.Errorf("Missing(gapped, %d) = %d seqs, want [2 4 .. %d]", upto, len(got), wire.MaxSeqsPerWant+2)
+		}
+	}
+}
+
+// testFloorOutOfOrder fills an author's gaps in scrambled order: Missing
+// must track every intermediate state, and once the run is contiguous a
+// caught-up query answers nil and a longer one answers only the tail.
+func testFloorOutOfOrder(t *testing.T, w World) {
+	e := w.Open(t, store.Options{})
+	defer e.Close()
+	order := []uint64{5, 2, 9, 1, 7, 3, 8, 4, 6}
+	held := map[uint64]bool{}
+	for _, seq := range order {
+		mustPut(t, e, post(bob, seq, "scrambled"))
+		held[seq] = true
+		var want []uint64
+		for s := uint64(1); s <= 10; s++ {
+			if !held[s] {
+				want = append(want, s)
+			}
+		}
+		if got := e.Missing(bob, 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after put %d: Missing(bob, 10) = %v, want %v", seq, got, want)
+		}
+	}
+	if got := e.Missing(bob, 9); got != nil {
+		t.Errorf("caught-up Missing(bob, 9) = %v, want nil", got)
+	}
+	if got, want := e.Missing(bob, 12), []uint64{10, 11, 12}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Missing(bob, 12) = %v, want %v", got, want)
+	}
+}
+
+// testFloorEviction closes gaps with puts whose quota evictions tombstone
+// the seqs below them: the accounted run must span held and tombstoned
+// seqs alike.
+func testFloorEviction(t *testing.T, w World) {
+	e := w.Open(t, store.Options{MaxMessages: 2})
+	defer e.Close()
+	mustPut(t, e, post(bob, 1, "b1"))
+	mustPut(t, e, post(bob, 2, "b2"))
+	mustPut(t, e, post(bob, 4, "b4")) // evicts b1
+	if got, want := e.Missing(bob, 4), []uint64{3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Missing(bob, 4) = %v, want %v", got, want)
+	}
+	mustPut(t, e, post(bob, 3, "b3")) // evicts b2, closes the gap
+	if e.Has(msg.Ref{Author: bob, Seq: 2}) {
+		t.Fatal("expected bob#2 evicted")
+	}
+	if got := e.Missing(bob, 4); got != nil {
+		t.Errorf("Missing(bob, 4) = %v, want nil (1-2 tombstoned, 3-4 held)", got)
+	}
+	if got, want := e.Missing(bob, 6), []uint64{5, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Missing(bob, 6) = %v, want %v", got, want)
+	}
+}
+
+// testFloorPruning drives one author past the per-author tombstone cap:
+// the lowest tombstones are forgotten and become requestable again, so
+// the accounted floor must fall back below them.
+func testFloorPruning(t *testing.T, w World) {
+	e := w.Open(t, store.Options{MaxMessages: 1, NoSync: true})
+	defer e.Close()
+	const n = 8193 // each put evicts its predecessor: 8192 tombstones
+	for seq := uint64(1); seq <= n; seq++ {
+		mustPut(t, e, post(bob, seq, "churn"))
+	}
+	got := e.Missing(bob, n)
+	if want := seqRange(1, 4096); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after pruning: Missing(bob, %d) = %d seqs, want [1..4096]", n, len(got))
+	}
+	mustPut(t, e, post(bob, 1, "re-fetched"))
+	if got := e.Missing(bob, n); !reflect.DeepEqual(got, seqRange(2, 4096)) {
+		t.Errorf("after re-fetching 1: Missing(bob, %d) = %d seqs, want [2..4096]", n, len(got))
+	}
+}
+
+// testFloorRestoredTombstones restarts a durable engine from a snapshot
+// holding a tombstone above every seq it still holds for that author, so
+// the restored summary high-water mark is below the tombstone: Missing
+// must still exclude it.
+func testFloorRestoredTombstones(t *testing.T, w World) {
+	// CompactBytes 1 folds every record into the snapshot, so the reload
+	// restores from the snapshot rather than replaying the put.
+	opts := store.Options{MaxMessages: 1, CompactBytes: 1, NoSync: true}
+	e := w.Open(t, opts)
+	mustPut(t, e, post(bob, 5, "evict me"))
+	mustPut(t, e, post(carol, 1, "usurper"))
+	if e.Has(msg.Ref{Author: bob, Seq: 5}) {
+		t.Fatal("expected bob#5 evicted")
+	}
+	if w.Persistent() {
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		e = w.Open(t, opts)
+	}
+	defer e.Close()
+	if got, want := e.Missing(bob, 6), []uint64{1, 2, 3, 4, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Missing(bob, 6) = %v, want %v", got, want)
+	}
+	if got := e.Missing(bob, 4); !reflect.DeepEqual(got, seqRange(1, 4)) {
+		t.Errorf("Missing(bob, 4) = %v, want [1 2 3 4]", got)
 	}
 }
 
