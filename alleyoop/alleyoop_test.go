@@ -56,9 +56,7 @@ func (f *fixture) meet(a, b *App, d time.Duration) {
 }
 
 func (f *fixture) pump(d time.Duration) {
-	upto := f.clk.Now().Add(d)
-	f.medium.RunUntil(upto)
-	f.clk.Set(upto)
+	f.clk.Advance(d)
 }
 
 func TestFeedDelivery(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"sos"
 	"sos/internal/chaos"
+	"sos/internal/clock"
 )
 
 // chaosFleet is a small fleet of public-API nodes over one (possibly
@@ -120,7 +121,7 @@ func TestChaosPartitionHealFullDelivery(t *testing.T) {
 	chz, err := chaos.Wrap(medium, chaos.Profile{
 		Seed:       11,
 		Partitions: []chaos.Partition{{At: 300 * time.Millisecond, Heal: 1200 * time.Millisecond}},
-	})
+	}, clock.System())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestChaosDupReorderExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chz, err := chaos.Wrap(medium, prof)
+	chz, err := chaos.Wrap(medium, prof, clock.System())
 	if err != nil {
 		t.Fatal(err)
 	}

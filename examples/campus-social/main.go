@@ -74,15 +74,11 @@ func run() error {
 		}
 	}
 
-	pump := func(d time.Duration) {
-		medium.RunUntil(clk.Now().Add(d))
-		clk.Set(clk.Now().Add(d))
-	}
 	meet := func(a, b string, d time.Duration) {
 		medium.SetLink(sos.PeerID(a+"-phone"), sos.PeerID(b+"-phone"), sos.Bluetooth)
-		pump(d)
+		clk.Advance(d)
 		medium.CutLink(sos.PeerID(a+"-phone"), sos.PeerID(b+"-phone"))
-		pump(time.Second)
+		clk.Advance(time.Second)
 	}
 
 	// Morning: maya posts before class; she runs into dev at the library.
@@ -95,7 +91,7 @@ func run() error {
 
 	// Afternoon: dev (now a forwarder for maya) bumps into rosa — maya's
 	// post reaches rosa two hops out, with maya's certificate attached.
-	pump(6 * time.Hour)
+	clk.Advance(6 * time.Hour)
 	meet("dev", "rosa", 30*time.Second)
 	item := rosa.Feed()[0]
 	fmt.Printf("14:01  rosa's feed after meeting dev: %q (author %s, %d hops)\n",

@@ -84,23 +84,18 @@ func run() error {
 	}
 	fmt.Printf("06:00  resident posts: %q\n", post.Payload)
 
-	pump := func(d time.Duration) {
-		medium.RunUntil(clk.Now().Add(d))
-		clk.Set(clk.Now().Add(d))
-	}
-
 	// 09:00 — a volunteer drives past the resident's street.
-	pump(3 * time.Hour)
+	clk.Advance(3 * time.Hour)
 	medium.SetLink("resident", "volunteer", sos.Bluetooth)
 	fmt.Println("09:00  volunteer drives past the resident (bluetooth contact)")
-	pump(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	medium.CutLink("resident", "volunteer")
 
 	// 13:30 — the volunteer reaches the relief staging area.
-	pump(4*time.Hour + 28*time.Minute)
+	clk.Advance(4*time.Hour + 28*time.Minute)
 	medium.SetLink("volunteer", "aid-worker", sos.PeerToPeerWiFi)
 	fmt.Println("13:30  volunteer reaches the staging area (p2p wifi contact)")
-	pump(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	medium.CutLink("volunteer", "aid-worker")
 
 	if len(aidReceived) == 0 {

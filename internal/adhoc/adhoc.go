@@ -172,7 +172,7 @@ type connState struct {
 	// hsTimer fails the handshake if it has not established in time;
 	// stopped at establishment and on every failure path. Guarded by
 	// the manager mutex.
-	hsTimer *time.Timer
+	hsTimer clock.Timer
 }
 
 // contactTrack interns the contact track shared with the message layer.
@@ -344,7 +344,7 @@ func (m *Manager) armHandshakeTimer(conn mpc.Conn, st *connState) {
 	}
 	m.mu.Lock()
 	if m.conns[conn] == st && st.stage != stageEstablished {
-		st.hsTimer = time.AfterFunc(d, func() { m.expireHandshake(conn, st) })
+		st.hsTimer = m.cfg.Clock.AfterFunc(d, func() { m.expireHandshake(conn, st) })
 	}
 	m.mu.Unlock()
 }

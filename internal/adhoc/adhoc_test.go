@@ -85,11 +85,9 @@ func (w *world) device(t *testing.T, handle string, h Handler) (*Manager, *cloud
 	return m, creds
 }
 
-// pump advances virtual time, draining the medium.
+// pump advances virtual time, firing the medium events due.
 func (w *world) pump(d time.Duration) {
-	upto := w.clk.Now().Add(d)
-	w.medium.RunUntil(upto)
-	w.clk.Set(upto)
+	w.clk.Advance(d)
 }
 
 func TestDiscoveryViaAdvertisement(t *testing.T) {

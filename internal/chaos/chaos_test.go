@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sos/internal/clock"
 	"sos/internal/mpc"
 	"sos/internal/mpc/mediumtest"
 	"sos/internal/netmedium"
@@ -39,7 +40,7 @@ func (w *chaosWorld) Close()                 { w.m.Close() }
 // runs through it unchanged.
 func TestChaosMediumConformance(t *testing.T) {
 	mediumtest.Run(t, func(t *testing.T) mediumtest.World {
-		m, err := Wrap(mpc.NewMemMedium(), Profile{})
+		m, err := Wrap(mpc.NewMemMedium(), Profile{}, clock.System())
 		if err != nil {
 			t.Fatalf("wrapping mem medium: %v", err)
 		}
@@ -83,7 +84,7 @@ func TestChaosOverNetMediumConformance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("building net medium: %v", err)
 		}
-		m, err := Wrap(inner, Profile{})
+		m, err := Wrap(inner, Profile{}, clock.System())
 		if err != nil {
 			t.Fatalf("wrapping net medium: %v", err)
 		}
@@ -95,7 +96,7 @@ func TestChaosOverNetMediumConformance(t *testing.T) {
 // MemMedium and returns the a→b conn plus b's recorder.
 func pair(t *testing.T, prof Profile) (*Medium, mpc.Conn, *mediumtest.Recorder) {
 	t.Helper()
-	m, err := Wrap(mpc.NewMemMedium(), prof)
+	m, err := Wrap(mpc.NewMemMedium(), prof, clock.System())
 	if err != nil {
 		t.Fatalf("Wrap: %v", err)
 	}
@@ -273,6 +274,54 @@ func TestDelayPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestDelayRunsOnTheInjectedClock drives the latency queue from a
+// virtual clock over SimMedium: no frame leaves before the delay has
+// elapsed on that clock, and all arrive in order after it.
+func TestDelayRunsOnTheInjectedClock(t *testing.T) {
+	const total = 50
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	radio := mpc.NewSimMedium(clk)
+	m, err := Wrap(radio, Profile{Seed: 9, Delay: time.Second, Jitter: time.Second}, clk)
+	if err != nil {
+		t.Fatalf("Wrap: %v", err)
+	}
+	defer m.Close()
+	recB := mediumtest.NewRecorder()
+	epA, err := m.Join("a", mediumtest.NewRecorder())
+	if err != nil {
+		t.Fatalf("Join(a): %v", err)
+	}
+	if _, err := m.Join("b", recB); err != nil {
+		t.Fatalf("Join(b): %v", err)
+	}
+	radio.SetLink("a", "b", mpc.PeerToPeerWiFi)
+	conn, err := epA.Connect("b")
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	clk.Advance(time.Second)
+	bConn := recB.IncomingConns()[0]
+	for i := 0; i < total; i++ {
+		if err := conn.Send([]byte(fmt.Sprintf("frame-%03d", i))); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	clk.Advance(time.Second - time.Millisecond)
+	if n := len(recB.Frames(bConn)); n != 0 {
+		t.Fatalf("%d frames arrived before the delay elapsed", n)
+	}
+	clk.Advance(2 * time.Second)
+	frames := recB.Frames(bConn)
+	if len(frames) != total {
+		t.Fatalf("got %d frames, want %d", len(frames), total)
+	}
+	for i, f := range frames {
+		if string(f) != fmt.Sprintf("frame-%03d", i) {
+			t.Fatalf("frame %d arrived as %q: delay/jitter must preserve order", i, f)
+		}
+	}
+}
+
 // TestOneWayMutesOneDirection checks asymmetric pairs: with OneWay = 1
 // exactly one direction of the pair goes mute while the reverse flows.
 func TestOneWayMutesOneDirection(t *testing.T) {
@@ -303,7 +352,7 @@ func TestPartitionSeversAndHeals(t *testing.T) {
 	m, err := Wrap(mpc.NewMemMedium(), Profile{
 		Seed:       1,
 		Partitions: []Partition{{At: 250 * time.Millisecond, Heal: 500 * time.Millisecond}},
-	})
+	}, clock.System())
 	if err != nil {
 		t.Fatalf("Wrap: %v", err)
 	}
@@ -388,7 +437,7 @@ func TestPresetsValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Errorf("loss 1.5 accepted")
 	}
-	if _, err := Wrap(mpc.NewMemMedium(), bad); err == nil {
+	if _, err := Wrap(mpc.NewMemMedium(), bad, clock.System()); err == nil {
 		t.Errorf("Wrap accepted an invalid profile")
 	}
 }

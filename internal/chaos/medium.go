@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sos/internal/clock"
 	"sos/internal/mpc"
 )
 
@@ -41,6 +42,7 @@ type Stats struct {
 // caller-driven severs with its own scheduled partitions.
 type Medium struct {
 	inner   mpc.Medium
+	clk     clock.Clock  // times partitions, reorder flushes and latency
 	reach   Reachability // nil when the inner medium has no sever hook
 	prof    Profile
 	neutral bool
@@ -50,7 +52,7 @@ type Medium struct {
 	churnDown map[mpc.PairKey]bool         // pairs severed by the caller
 	pairN     map[[2]uint64]*atomic.Uint64 // dice index per directed pair
 	splits    int                          // active partition windows
-	timers    []*time.Timer
+	timers    []clock.Timer
 	closed    bool
 
 	framesPassed      atomic.Uint64
@@ -68,9 +70,12 @@ var (
 	_ Reachability = (*Medium)(nil)
 )
 
-// Wrap layers the profile over an inner medium. Profiles that schedule
+// Wrap layers the profile over an inner medium. Partition windows,
+// reorder flushes and latency all run on clk, which must be the clock
+// that drives the inner medium (clock.System for live media, the
+// simulation's clock.Virtual for SimMedium). Profiles that schedule
 // partitions require the inner medium to implement Reachability.
-func Wrap(inner mpc.Medium, prof Profile) (*Medium, error) {
+func Wrap(inner mpc.Medium, prof Profile, clk clock.Clock) (*Medium, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,6 +85,7 @@ func Wrap(inner mpc.Medium, prof Profile) (*Medium, error) {
 	}
 	m := &Medium{
 		inner:     inner,
+		clk:       clk,
 		reach:     reach,
 		prof:      prof,
 		neutral:   prof.IsZero(),
@@ -88,8 +94,8 @@ func Wrap(inner mpc.Medium, prof Profile) (*Medium, error) {
 	}
 	for _, w := range prof.Partitions {
 		m.timers = append(m.timers,
-			time.AfterFunc(w.At, m.startSplit),
-			time.AfterFunc(w.Heal, m.healSplit))
+			clk.AfterFunc(w.At, m.startSplit),
+			clk.AfterFunc(w.Heal, m.healSplit))
 	}
 	return m, nil
 }
@@ -369,11 +375,13 @@ type conn struct {
 
 	mu        sync.Mutex
 	held      []byte // reorder slot: a frame waiting to be overtaken
-	heldTimer *time.Timer
-	q         []delayed
-	qcond     *sync.Cond
-	qrunning  bool
-	qclosed   bool
+	heldTimer clock.Timer
+	// q is the latency queue, strictly FIFO. While it is non-empty
+	// exactly one of qtimer (armed for the head's due time) and a
+	// running drainDelayed owns it.
+	q       []delayed
+	qtimer  clock.Timer
+	qclosed bool
 }
 
 var _ mpc.Conn = (*conn)(nil)
@@ -424,7 +432,7 @@ func (c *conn) Send(frame []byte) error {
 		// Hold this frame; the next one on the link overtakes it. A
 		// flush timer releases it if no successor shows up.
 		c.held = cloneBytes(frame)
-		c.heldTimer = time.AfterFunc(reorderFlush, c.flushHeld)
+		c.heldTimer = c.m.clk.AfterFunc(reorderFlush, c.flushHeld)
 		c.mu.Unlock()
 		return nil
 	}
@@ -468,51 +476,45 @@ func (c *conn) dispatch(frame []byte, n uint64) error {
 		c.m.framesPassed.Add(1)
 		return c.inner.Send(frame)
 	}
-	due := time.Now().Add(p.Delay)
+	delay := p.Delay
 	if p.Jitter > 0 {
-		due = due.Add(time.Duration(roll(p.Seed, c.fromH, c.toH, n, saltJitter) * float64(p.Jitter)))
+		delay += time.Duration(roll(p.Seed, c.fromH, c.toH, n, saltJitter) * float64(p.Jitter))
 	}
 	c.m.framesDelayed.Add(1)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.qclosed {
-		c.mu.Unlock()
 		return nil
 	}
-	if c.qcond == nil {
-		c.qcond = sync.NewCond(&c.mu)
+	c.q = append(c.q, delayed{data: cloneBytes(frame), due: c.m.clk.Now().Add(delay)})
+	if len(c.q) == 1 {
+		c.qtimer = c.m.clk.AfterFunc(delay, c.drainDelayed)
 	}
-	c.q = append(c.q, delayed{data: cloneBytes(frame), due: due})
-	if !c.qrunning {
-		c.qrunning = true
-		go c.drainDelayed()
-	}
-	c.qcond.Signal()
-	c.mu.Unlock()
 	return nil
 }
 
-// drainDelayed is the per-conn latency worker: strictly FIFO, sleeping
-// until each frame's due time, so delay and jitter stretch the link
-// without reordering it.
+// drainDelayed is the latency queue's timer callback. It sends every
+// frame now due, head first, and re-arms the one timer for the next
+// head, so delay and jitter stretch the link without reordering it. A
+// frame leaves the queue only once sent: the queue stays non-empty
+// while Send runs, so dispatch cannot arm a second drainer beside it.
 func (c *conn) drainDelayed() {
-	for {
-		c.mu.Lock()
-		for len(c.q) == 0 && !c.qclosed {
-			c.qcond.Wait()
-		}
-		if len(c.q) == 0 {
-			c.qrunning = false
-			c.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.qtimer = nil
+	for len(c.q) > 0 {
+		if wait := c.q[0].due.Sub(c.m.clk.Now()); wait > 0 {
+			c.qtimer = c.m.clk.AfterFunc(wait, c.drainDelayed)
 			return
 		}
-		it := c.q[0]
-		c.q = c.q[1:]
+		data := c.q[0].data
 		c.mu.Unlock()
-		if d := time.Until(it.due); d > 0 {
-			time.Sleep(d)
-		}
 		c.m.framesPassed.Add(1)
-		c.inner.Send(it.data) // best effort: a closed conn swallows it
+		c.inner.Send(data) // best effort: a closed conn swallows it
+		c.mu.Lock()
+		if len(c.q) > 0 { // stop empties the queue
+			c.q = c.q[1:]
+		}
 	}
 }
 
@@ -526,8 +528,9 @@ func (c *conn) stop() {
 		c.heldTimer.Stop()
 		c.heldTimer = nil
 	}
-	if c.qcond != nil {
-		c.qcond.Broadcast()
+	if c.qtimer != nil {
+		c.qtimer.Stop()
+		c.qtimer = nil
 	}
 	c.mu.Unlock()
 }

@@ -120,7 +120,8 @@ type Config struct {
 	PeerName mpc.PeerID
 	// Scheme selects the initial routing protocol; empty selects epidemic.
 	Scheme string
-	// Clock drives timestamps and certificate checks; nil selects wall time.
+	// Clock drives timestamps, certificate checks and every protocol
+	// timer (heartbeat, redials, handshake guard); nil selects wall time.
 	Clock clock.Clock
 	// Rand supplies handshake nonces; nil selects crypto/rand.
 	Rand io.Reader

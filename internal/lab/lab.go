@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sos/internal/chaos"
+	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
 	"sos/internal/id"
@@ -208,7 +209,7 @@ func runInProcess(spec *Spec, opts Options) (*Report, error) {
 	if prof, perr := spec.chaosProfile(); perr != nil {
 		return nil, perr
 	} else if spec.Chaos != nil {
-		chaosMedium, err = chaos.Wrap(medium, prof)
+		chaosMedium, err = chaos.Wrap(medium, prof, clock.System())
 		if err != nil {
 			return nil, fmt.Errorf("lab: wrapping medium: %w", err)
 		}

@@ -46,8 +46,10 @@ package message
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
-	"math/rand"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -252,6 +254,8 @@ type Manager struct {
 	// scheme or consumer notifications for them.
 	refused map[*adhoc.Link]bool
 	stats   Stats
+	// order is pushSummaries' scratch list of linked peers.
+	order []mpc.PeerID
 
 	// advMu serializes the advertisement plane — beacon refresh plus the
 	// per-link summary pushes — so per-peer delta bases advance in the
@@ -268,7 +272,7 @@ type Manager struct {
 	// resyncTimer drives the in-session resync heartbeat; resyncTicks
 	// counts completed ticks (the age base for in-flight expiry); closed
 	// stops the timer from re-arming. All guarded by mu.
-	resyncTimer *time.Timer
+	resyncTimer clock.Timer
 	resyncTicks uint64
 	closed      bool
 	// pad caches the non-recent portion of an oversize store's beacon
@@ -286,9 +290,9 @@ type padEntry struct {
 
 // inflightEntry records which peer a message was requested from and at
 // which resync-heartbeat tick, so stale requests become re-plannable
-// after a full interval. Age is measured in heartbeat ticks, not clock
-// time: the heartbeat runs on the wall-clock timer wheel, so expiry
-// keeps working when Config.Clock is a frozen virtual clock.
+// after a full interval. Age is measured in heartbeat ticks, which run
+// on Config.Clock: an entry expires on the second tick after its
+// request, however far apart the clock's ticks fire.
 type inflightEntry struct {
 	peer mpc.PeerID
 	tick uint64
@@ -326,7 +330,7 @@ func (m *Manager) Bind(a *adhoc.Manager) {
 	defer m.mu.Unlock()
 	m.adhocMgr = a
 	if m.cfg.ResyncInterval > 0 && m.resyncTimer == nil && !m.closed {
-		m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
+		m.resyncTimer = m.cfg.Clock.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	}
 }
 
@@ -378,7 +382,7 @@ func (m *Manager) resyncTick() {
 		}
 	}
 	sends := m.planLocked(views)
-	m.resyncTimer = time.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
+	m.resyncTimer = m.cfg.Clock.AfterFunc(m.cfg.ResyncInterval, m.resyncTick)
 	m.mu.Unlock()
 	for _, link := range links {
 		m.sendAdTo(link, false)
@@ -527,42 +531,61 @@ func (m *Manager) beaconSummary(gen uint64) map[id.UserID]uint64 {
 // advMu.
 func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool) {
 	m.mu.Lock()
-	groups := make(map[uint64][]*adhoc.Link) // delta base → links; 0 = full
-	for _, ps := range m.peers {
-		if ps.link == nil {
-			continue
+	// Group in sorted peer order, not map order, so a simulated run puts
+	// its frames on the air in the same order every time.
+	m.order = m.order[:0]
+	for peer, ps := range m.peers {
+		if ps.link != nil {
+			m.order = append(m.order, peer)
 		}
+	}
+	slices.Sort(m.order)
+	type adGroup struct {
+		base  uint64 // delta base; 0 = full
+		links []*adhoc.Link
+	}
+	var buf [4]adGroup // the usual handful of groups stay off the heap
+	groups := buf[:0]
+	for _, peer := range m.order {
+		ps := m.peers[peer]
+		base := ps.sentGen
 		switch {
 		case !ps.sentValid || ps.sentGen == 0 || ps.sentGen > gen:
 			// No usable base: first contact on this link, state reset by
 			// PeerGone, or a base from a store this engine no longer is.
-			groups[0] = append(groups[0], ps.link)
+			base = 0
 		case ps.sentGen == gen && !schemeChanged:
 			continue // peer is current
-		default:
-			groups[ps.sentGen] = append(groups[ps.sentGen], ps.link)
 		}
+		i := 0
+		for i < len(groups) && groups[i].base != base {
+			i++
+		}
+		if i == len(groups) {
+			groups = append(groups, adGroup{base: base})
+		}
+		groups[i].links = append(groups[i].links, ps.link)
 		ps.sentValid, ps.sentGen = true, gen
 	}
 	peerName := string(m.adhocMgr.Self())
 	m.mu.Unlock()
 
 	var fullLinks []*adhoc.Link
-	for base, links := range groups {
-		if base == 0 {
-			fullLinks = append(fullLinks, links...)
+	for _, g := range groups {
+		if g.base == 0 {
+			fullLinks = append(fullLinks, g.links...)
 			continue
 		}
-		delta, ok := m.cfg.Store.Changes(base)
+		delta, ok := m.cfg.Store.Changes(g.base)
 		if !ok {
 			// The change log no longer reaches the peer's base: fall back
 			// to a full summary.
-			fullLinks = append(fullLinks, links...)
+			fullLinks = append(fullLinks, g.links...)
 			continue
 		}
 		m.fanOut(&wire.Advertisement{
-			Peer: peerName, Gen: gen, BaseGen: base, Summary: delta, SchemeData: data,
-		}, links)
+			Peer: peerName, Gen: gen, BaseGen: g.base, Summary: delta, SchemeData: data,
+		}, g.links)
 	}
 	if len(fullLinks) > 0 {
 		if m.cfg.Store.SummarySize() > SummaryChunkEntries {
@@ -1107,15 +1130,21 @@ func (m *Manager) scheduleRedial(peer mpc.PeerID, reason error) {
 	}
 	attempt := ps.redial
 	ps.redial++
+	self := m.adhocMgr.Self()
 	m.mu.Unlock()
 	delay := redialBase << attempt
 	if delay > redialCap {
 		delay = redialCap
 	}
 	// Full jitter on the top half so two peers redialing each other
-	// don't stay phase-locked.
-	delay = delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-	time.AfterFunc(delay, func() { m.redial(peer) })
+	// don't stay phase-locked: a hash of (self, peer, attempt), which
+	// differs at the two ends and replays in a seeded simulation.
+	h := fnv.New64a()
+	h.Write([]byte(self))
+	h.Write([]byte{0, byte(attempt)})
+	h.Write([]byte(peer))
+	delay = delay/2 + time.Duration(h.Sum64()%uint64(delay/2+1))
+	m.cfg.Clock.AfterFunc(delay, func() { m.redial(peer) })
 }
 
 // redial performs one scheduled reconnect attempt.
@@ -1148,9 +1177,15 @@ func (m *Manager) redial(peer mpc.PeerID) {
 // a trip they should drop the peer's link after unlocking.
 func (m *Manager) penalizeLocked(peer mpc.PeerID, pts float64, now time.Time) bool {
 	m.stats.MisbehaviorEvents++
-	tripped, _ := m.quar.observe(peer, pts, now)
+	tripped, until := m.quar.observe(peer, pts, now)
 	if tripped {
 		m.stats.Quarantines++
+		if m.cfg.AutoConnect {
+			// The redial ladder skips misbehaviour drops and unchanged
+			// beacons never re-fire discovery, so without this the
+			// pair would never link again: try once at the term's end.
+			m.cfg.Clock.AfterFunc(until.Sub(now), func() { m.redial(peer) })
+		}
 	}
 	return tripped
 }
@@ -1367,6 +1402,8 @@ func (m *Manager) planLocked(views map[*peerSync]map[id.UserID]uint64) []outgoin
 		}
 		sends = append(sends, outgoingPlan{link: ps.link, wants: wants})
 	}
+	// Send in peer order, not map order, so a simulated run replays.
+	slices.SortFunc(sends, func(a, b outgoingPlan) int { return cmp.Compare(a.link.Peer(), b.link.Peer()) })
 	return sends
 }
 

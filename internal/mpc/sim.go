@@ -1,7 +1,6 @@
 package mpc
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -34,14 +33,13 @@ type SimStats struct {
 // discovery latency, connection setup, per-technology bitrates, and
 // in-flight frame loss when a contact ends mid-transfer.
 //
-// All methods must be called from the simulation goroutine; callbacks run
-// synchronously inside RunUntil.
+// Its events go on the virtual clock's queue, beside the protocol
+// timers. All methods must be called from the goroutine that advances
+// the clock; callbacks run synchronously inside its Set and Advance.
 type SimMedium struct {
 	clk       *clock.Virtual
 	endpoints map[PeerID]*simEndpoint
 	links     map[PairKey]*simLink
-	queue     eventHeap
-	seq       uint64
 	stats     SimStats
 
 	// OnContact, when set, observes every link up/down transition.
@@ -115,7 +113,7 @@ func (m *SimMedium) SetLink(a, b PeerID, tech Technology) {
 	}
 	epoch := m.links[key].epoch
 	at := now.Add(m.DiscoveryDelay)
-	m.post(at, func() {
+	m.clk.Schedule(at, func() {
 		link, up := m.links[key]
 		if !up || link.epoch != epoch {
 			return
@@ -148,7 +146,7 @@ func (m *SimMedium) CutLink(a, b PeerID) {
 	for _, conn := range epA.connsTo(b) {
 		conn.teardown(ErrPeerGone)
 	}
-	m.post(now, func() {
+	m.clk.Schedule(now, func() {
 		m.lost(epA, epB)
 		m.lost(epB, epA)
 	})
@@ -176,34 +174,6 @@ func (m *SimMedium) lost(to, from *simEndpoint) {
 	to.events.PeerLost(from.self)
 }
 
-// NextAt returns the timestamp of the earliest queued event.
-func (m *SimMedium) NextAt() (time.Time, bool) {
-	if len(m.queue) == 0 {
-		return time.Time{}, false
-	}
-	return m.queue[0].at, true
-}
-
-// RunUntil processes every queued event with timestamp ≤ upto, advancing
-// the virtual clock through each event time. It returns the number of
-// events processed.
-func (m *SimMedium) RunUntil(upto time.Time) int {
-	n := 0
-	for len(m.queue) > 0 && !m.queue[0].at.After(upto) {
-		ev := heap.Pop(&m.queue).(simEvent)
-		m.clk.Set(ev.at)
-		ev.fn()
-		n++
-	}
-	return n
-}
-
-// post queues fn to run at the given virtual time.
-func (m *SimMedium) post(at time.Time, fn func()) {
-	m.seq++
-	heap.Push(&m.queue, simEvent{at: at, seq: m.seq, fn: fn})
-}
-
 // linkKeysOf returns the link keys touching peer in deterministic order,
 // so event generation never depends on map iteration order.
 func (m *SimMedium) linkKeysOf(peer PeerID) []PairKey {
@@ -220,33 +190,6 @@ func (m *SimMedium) linkKeysOf(peer PeerID) []PairKey {
 		return keys[i].Hi < keys[j].Hi
 	})
 	return keys
-}
-
-// simEvent is one queued callback.
-type simEvent struct {
-	at  time.Time
-	seq uint64 // insertion order breaks timestamp ties deterministically
-	fn  func()
-}
-
-// eventHeap orders events by (time, insertion order).
-type eventHeap []simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
 }
 
 // simEndpoint is a device attached to the simulated medium.
@@ -289,13 +232,13 @@ func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 		epoch := link.epoch
 		switch {
 		case ad != nil:
-			m.post(at, func() {
+			m.clk.Schedule(at, func() {
 				if l, up := m.links[key]; up && l.epoch == epoch {
 					m.announce(otherEP, ep)
 				}
 			})
 		case wasAdvertising:
-			m.post(m.clk.Now(), func() {
+			m.clk.Schedule(m.clk.Now(), func() {
 				if !otherEP.closed {
 					otherEP.events.PeerLost(ep.self)
 				}
@@ -332,7 +275,7 @@ func (ep *simEndpoint) Connect(peer PeerID) (Conn, error) {
 	remote.conns[remoteSide] = true
 	m.stats.Connections++
 
-	m.post(readyAt, func() {
+	m.clk.Schedule(readyAt, func() {
 		if remoteSide.closed || remote.closed {
 			return
 		}
@@ -366,7 +309,7 @@ func (ep *simEndpoint) Close() error {
 			if otherEP := m.endpoints[other]; otherEP != nil && !otherEP.closed {
 				peer := ep.self
 				target := otherEP
-				m.post(m.clk.Now(), func() {
+				m.clk.Schedule(m.clk.Now(), func() {
 					if !target.closed {
 						target.events.PeerLost(peer)
 					}
@@ -445,7 +388,7 @@ func (c *simConn) Send(frame []byte) error {
 	twin := c.twin
 	epoch := c.epoch
 	size := uint64(len(frame))
-	m.post(deliverAt, func() {
+	m.clk.Schedule(deliverAt, func() {
 		l, stillUp := m.links[c.pair]
 		if !stillUp || l.epoch != epoch || twin.closed || twin.localEP.closed {
 			m.stats.FramesDropped++
@@ -476,7 +419,7 @@ func (c *simConn) teardown(reason error) {
 
 	m := c.medium
 	local, remote, twin := c.localEP, c.remoteEP, c.twin
-	m.post(m.clk.Now(), func() {
+	m.clk.Schedule(m.clk.Now(), func() {
 		if !local.closed {
 			local.events.Disconnected(c, reason)
 		}

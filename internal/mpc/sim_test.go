@@ -47,24 +47,17 @@ func newSimWorld(t *testing.T) (*SimMedium, *clock.Virtual, *simRecorder, *simRe
 	return m, clk, ra, rb, epA, epB
 }
 
-// run drains the medium for d of virtual time.
-func run(m *SimMedium, clk *clock.Virtual, d time.Duration) {
-	upto := clk.Now().Add(d)
-	m.RunUntil(upto)
-	clk.Set(upto)
-}
-
 func TestSimDiscoveryAfterLink(t *testing.T) {
 	m, clk, ra, rb, epA, epB := newSimWorld(t)
 	epA.SetAdvertisement([]byte("ad-a"))
 	epB.SetAdvertisement([]byte("ad-b"))
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	if len(ra.found)+len(rb.found) != 0 {
 		t.Fatal("discovery happened without a link")
 	}
 
 	m.SetLink("a", "b", Bluetooth)
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	if string(rb.found["a"]) != "ad-a" {
 		t.Errorf("b found a = %q, want ad-a", rb.found["a"])
 	}
@@ -78,11 +71,11 @@ func TestSimDiscoveryDelayRespected(t *testing.T) {
 	epA.SetAdvertisement([]byte("ad-a"))
 	m.SetLink("a", "b", Bluetooth)
 
-	run(m, clk, m.DiscoveryDelay/2)
+	clk.Advance(m.DiscoveryDelay / 2)
 	if len(rb.found) != 0 {
 		t.Error("peer found before the discovery delay elapsed")
 	}
-	run(m, clk, m.DiscoveryDelay)
+	clk.Advance(m.DiscoveryDelay)
 	if len(rb.found) != 1 {
 		t.Error("peer not found after the discovery delay")
 	}
@@ -94,7 +87,7 @@ func TestSimLinkCutBeforeDiscovery(t *testing.T) {
 	m.SetLink("a", "b", Bluetooth)
 	// Cut before the discovery event fires: nothing should surface.
 	m.CutLink("a", "b")
-	run(m, clk, 5*time.Second)
+	clk.Advance(5 * time.Second)
 	if len(rb.found) != 0 {
 		t.Error("peer discovered on a link that was cut before discovery")
 	}
@@ -103,13 +96,13 @@ func TestSimLinkCutBeforeDiscovery(t *testing.T) {
 func TestSimConnectAndTransfer(t *testing.T) {
 	m, clk, ra, rb, epA, _ := newSimWorld(t)
 	m.SetLink("a", "b", PeerToPeerWiFi)
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 
 	conn, err := epA.Connect("b")
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 	if len(rb.incoming) != 1 {
 		t.Fatalf("incoming connections = %d, want 1", len(rb.incoming))
 	}
@@ -117,7 +110,7 @@ func TestSimConnectAndTransfer(t *testing.T) {
 	if err := conn.Send([]byte("ping")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 	if len(rb.frames) != 1 || string(rb.frames[0]) != "ping" {
 		t.Fatalf("frames = %q, want [ping]", rb.frames)
 	}
@@ -125,7 +118,7 @@ func TestSimConnectAndTransfer(t *testing.T) {
 	if err := rb.incoming[0].Send([]byte("pong")); err != nil {
 		t.Fatalf("reply Send: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 	if len(ra.frames) != 1 || string(ra.frames[0]) != "pong" {
 		t.Fatalf("reply frames = %q, want [pong]", ra.frames)
 	}
@@ -152,22 +145,22 @@ func TestSimConnectRequiresLink(t *testing.T) {
 func TestSimTransferTimeScalesWithSize(t *testing.T) {
 	m, clk, _, rb, epA, _ := newSimWorld(t)
 	m.SetLink("a", "b", Bluetooth) // 250 KiB/s
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	conn, err := epA.Connect("b")
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 
 	// 250 KiB at 250 KiB/s ≈ 1 s; must not arrive after only 200 ms.
 	if err := conn.Send(make([]byte, 250<<10)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	run(m, clk, 200*time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	if len(rb.frames) != 0 {
 		t.Error("quarter-MiB frame arrived instantly over bluetooth")
 	}
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	if len(rb.frames) != 1 {
 		t.Error("frame never arrived")
 	}
@@ -176,19 +169,19 @@ func TestSimTransferTimeScalesWithSize(t *testing.T) {
 func TestSimInFlightFrameLostOnCut(t *testing.T) {
 	m, clk, ra, rb, epA, _ := newSimWorld(t)
 	m.SetLink("a", "b", Bluetooth)
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	conn, err := epA.Connect("b")
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 
 	if err := conn.Send(make([]byte, 500<<10)); err != nil { // ~2 s transfer
 		t.Fatalf("Send: %v", err)
 	}
-	run(m, clk, 500*time.Millisecond)
+	clk.Advance(500 * time.Millisecond)
 	m.CutLink("a", "b") // cut mid-transfer
-	run(m, clk, 5*time.Second)
+	clk.Advance(5 * time.Second)
 
 	if len(rb.frames) != 0 {
 		t.Error("frame delivered despite mid-transfer cut")
@@ -207,19 +200,19 @@ func TestSimInFlightFrameLostOnCut(t *testing.T) {
 func TestSimRelinkEpochIsolation(t *testing.T) {
 	m, clk, _, rb, epA, _ := newSimWorld(t)
 	m.SetLink("a", "b", Bluetooth)
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	conn, err := epA.Connect("b")
 	if err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 
 	if err := conn.Send(make([]byte, 500<<10)); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	m.CutLink("a", "b")
 	m.SetLink("a", "b", Bluetooth) // immediate re-link: new epoch
-	run(m, clk, 10*time.Second)
+	clk.Advance(10 * time.Second)
 
 	if len(rb.frames) != 0 {
 		t.Error("stale frame crossed into the new link epoch")
@@ -235,10 +228,10 @@ func TestSimPeerLostOnCut(t *testing.T) {
 	epA.SetAdvertisement([]byte("ad-a"))
 	epB.SetAdvertisement([]byte("ad-b"))
 	m.SetLink("a", "b", Bluetooth)
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 
 	m.CutLink("a", "b")
-	run(m, clk, time.Second)
+	clk.Advance(time.Second)
 	if rb.lost["a"] != 1 || ra.lost["b"] != 1 {
 		t.Errorf("lost counts a->%d b->%d, want 1/1", ra.lost["b"], rb.lost["a"])
 	}
@@ -248,12 +241,12 @@ func TestSimAdvertisementUpdatePropagates(t *testing.T) {
 	m, clk, _, rb, epA, _ := newSimWorld(t)
 	m.SetLink("a", "b", Bluetooth)
 	epA.SetAdvertisement([]byte("v1"))
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	if string(rb.found["a"]) != "v1" {
 		t.Fatalf("initial ad = %q, want v1", rb.found["a"])
 	}
 	epA.SetAdvertisement([]byte("v2"))
-	run(m, clk, 2*time.Second)
+	clk.Advance(2 * time.Second)
 	if string(rb.found["a"]) != "v2" {
 		t.Errorf("updated ad = %q, want v2", rb.found["a"])
 	}
@@ -300,7 +293,7 @@ func TestSimDeterminism(t *testing.T) {
 		epA.SetAdvertisement([]byte("a"))
 		epB.SetAdvertisement([]byte("b"))
 		m.SetLink("a", "b", Bluetooth)
-		m.RunUntil(clk.Now().Add(2 * time.Second))
+		clk.Advance(2 * time.Second)
 		conn, err := epA.Connect("b")
 		if err != nil {
 			return runResult{}
@@ -308,7 +301,7 @@ func TestSimDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			_ = conn.Send(make([]byte, 1024))
 		}
-		m.RunUntil(clk.Now().Add(time.Minute))
+		clk.Advance(time.Minute)
 		return runResult{frames: len(rb.frames), found: len(rb.found), dropped: m.Stats().FramesDropped}
 	}
 	first := execute()
@@ -342,5 +335,32 @@ func TestTechnologyProperties(t *testing.T) {
 	// simulator's contact model.
 	if Bluetooth.Range() >= PeerToPeerWiFi.Range() {
 		t.Error("bluetooth should have shorter range than p2p wifi")
+	}
+}
+
+// TestSimSendAllocs pins what putting a frame on the simulated air
+// allocates: the payload copy and the delivery closure. The clock's
+// event queue holds events by value, so scheduling adds nothing.
+func TestSimSendAllocs(t *testing.T) {
+	m, clk, _, _, epA, _ := newSimWorld(t)
+	m.SetLink("a", "b", PeerToPeerWiFi)
+	conn, err := epA.Connect("b")
+	if err != nil {
+		t.Fatalf("Connect: %v", err)
+	}
+	// Grow the queue's backing array once; it keeps its capacity.
+	noop := func() {}
+	for i := 0; i < 512; i++ {
+		clk.Schedule(clk.Now(), noop)
+	}
+	clk.Advance(time.Second)
+
+	if got := testing.AllocsPerRun(200, func() { clk.Schedule(clk.Now(), noop) }); got != 0 {
+		t.Errorf("Schedule allocates %.0f per event, want 0", got)
+	}
+	clk.Advance(time.Second)
+	frame := make([]byte, 64)
+	if got := testing.AllocsPerRun(200, func() { _ = conn.Send(frame) }); got != 2 {
+		t.Errorf("Send allocates %.0f per frame, want 2 (payload copy and delivery closure)", got)
 	}
 }

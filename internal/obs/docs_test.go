@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sos/internal/chaos"
+	"sos/internal/clock"
 	"sos/internal/cloud"
 	"sos/internal/core"
 	"sos/internal/netmedium"
@@ -39,7 +40,7 @@ func TestMetricCatalogDocumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chz, err := chaos.Wrap(medium, chaos.Profile{})
+	chz, err := chaos.Wrap(medium, chaos.Profile{}, clock.System())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
+	"sos/internal/core"
 	"sos/internal/metrics"
 	"sos/internal/mobility"
 	"sos/internal/mpc"
@@ -55,6 +58,32 @@ func TestTwoNodeDelivery(t *testing.T) {
 	}
 	if deliveries[0].Delay() <= 0 || deliveries[0].Delay() > 10*time.Minute {
 		t.Errorf("delay = %v, want small positive", deliveries[0].Delay())
+	}
+}
+
+// TestFleetUnreachableAfterRun checks that a finished simulation leaves
+// nothing running: every timer sits on the run's virtual clock, so once
+// the Sim is dropped the whole fleet can be collected. A timer on the
+// process's wall clock that re-arms itself would keep every node
+// reachable, and ticking, for the rest of the process.
+func TestFleetUnreachableAfterRun(t *testing.T) {
+	workload := []Event{
+		{At: start.Add(5 * time.Minute), Handle: "alice", Action: ActionPost, Payload: []byte("hi")},
+	}
+	node := func() weak.Pointer[core.Middleware] {
+		s, err := New(twoNodeConfig("interest", workload))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return weak.Make(s.Nodes()[0].MW)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if node.Value() != nil {
+		t.Fatal("a node's middleware is still reachable after its simulation returned")
 	}
 }
 

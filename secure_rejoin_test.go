@@ -3,7 +3,6 @@ package sos_test
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,20 +13,25 @@ import (
 // rejoinFleet is a fleet whose nodes can be killed and restarted with
 // the same credentials and security directory — the harness for the
 // offline-rotation scenario. Delivery books survive a restart so the
-// test can wait on refs across a node's death.
+// test can wait on refs across a node's death. The whole fleet runs on
+// one timeline: the simulated radio, the chaos wrapper and every
+// protocol timer schedule on the virtual clock, and only the test
+// goroutine advances it.
 type rejoinFleet struct {
 	t      *testing.T
 	cld    *sos.Cloud
-	medium sos.Medium
+	radio  *sos.SimMedium
+	medium sos.Medium // the chaos wrapper over radio
 	clk    *sos.VirtualClock
 
-	mu    sync.Mutex
 	nodes map[string]*sos.Node
 	creds map[string]*sos.Credentials
 	dirs  map[string]string
 	seen  map[string]map[sos.Ref]int
-	wake  chan struct{}
 }
+
+// device names a handle's radio.
+func device(handle string) sos.PeerID { return sos.PeerID(handle + "-device") }
 
 func (f *rejoinFleet) security(handle string) sos.SecurityConfig {
 	return sos.SecurityConfig{
@@ -41,14 +45,12 @@ func (f *rejoinFleet) security(handle string) sos.SecurityConfig {
 }
 
 // start boots (or reboots) handle's node from its persistent identity
-// and replay directory.
+// and replay directory, in radio range of every live node.
 func (f *rejoinFleet) start(handle string) *sos.Node {
 	f.t.Helper()
-	f.mu.Lock()
 	if f.creds[handle] == nil {
 		creds, err := sos.Bootstrap(f.cld, handle)
 		if err != nil {
-			f.mu.Unlock()
 			f.t.Fatalf("Bootstrap(%s): %v", handle, err)
 		}
 		f.creds[handle] = creds
@@ -56,58 +58,52 @@ func (f *rejoinFleet) start(handle string) *sos.Node {
 		f.seen[handle] = make(map[sos.Ref]int)
 	}
 	book := f.seen[handle]
-	f.mu.Unlock()
 
 	n, err := sos.NewNode(sos.NodeConfig{
 		Creds:            f.creds[handle],
 		Medium:           f.medium,
-		PeerName:         sos.PeerID(handle + "-device"),
+		PeerName:         device(handle),
 		Clock:            f.clk,
 		Security:         f.security(handle),
 		HandshakeTimeout: 250 * time.Millisecond,
 		ResyncInterval:   250 * time.Millisecond,
 		OnReceive: func(m *sos.Message, _ sos.UserID) {
-			f.mu.Lock()
 			book[m.Ref()]++
-			f.mu.Unlock()
-			select {
-			case f.wake <- struct{}{}:
-			default:
-			}
 		},
 	})
 	if err != nil {
 		f.t.Fatalf("NewNode(%s): %v", handle, err)
 	}
-	f.mu.Lock()
+	for other := range f.nodes {
+		f.radio.SetLink(device(handle), device(other), sos.Bluetooth)
+	}
 	f.nodes[handle] = n
-	f.mu.Unlock()
 	return n
 }
 
+// kill powers handle's device off: the node closes and its radio
+// contacts end.
 func (f *rejoinFleet) kill(handle string) {
 	f.t.Helper()
-	f.mu.Lock()
 	n := f.nodes[handle]
 	delete(f.nodes, handle)
-	f.mu.Unlock()
 	if err := n.Close(); err != nil {
 		f.t.Fatalf("Close(%s): %v", handle, err)
 	}
+	for other := range f.nodes {
+		f.radio.CutLink(device(handle), device(other))
+	}
 }
 
-// waitFor blocks until every named node's book holds every ref. While
-// waiting it keeps virtual time flowing (a few virtual seconds per wall
-// second): misbehavior decay, quarantine terms, and rotation periods are
-// all measured on the injected clock, and a frozen clock would make a
-// single honest-accident score permanent.
+// waitFor advances virtual time until every named node's book holds
+// every ref, failing once deadline of virtual time has passed.
+// Misbehavior decay, quarantine terms, rotation periods, the heartbeat
+// and the handshake guard are all measured on the virtual clock, and a
+// frozen clock would make a single honest-accident score permanent.
 func (f *rejoinFleet) waitFor(refs []sos.Ref, handles []string, deadline time.Duration) {
 	f.t.Helper()
-	timeout := time.After(deadline)
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
+	until := f.clk.Now().Add(deadline)
 	for {
-		f.mu.Lock()
 		missing := 0
 		for _, h := range handles {
 			self := sos.NewUserID(h)
@@ -117,25 +113,14 @@ func (f *rejoinFleet) waitFor(refs []sos.Ref, handles []string, deadline time.Du
 				}
 			}
 		}
-		f.mu.Unlock()
 		if missing == 0 {
 			return
 		}
-		select {
-		case <-f.wake:
-		case <-tick.C:
-			f.clk.Advance(250 * time.Millisecond)
-		case <-timeout:
-			f.mu.Lock()
-			nodes := make(map[string]*sos.Node, len(f.nodes))
-			for h, n := range f.nodes {
-				nodes[h] = n
-			}
+		if f.clk.Now().After(until) {
 			for _, h := range handles {
 				f.t.Logf("node %s holds %d refs", h, len(f.seen[h]))
 			}
-			f.mu.Unlock()
-			for h, n := range nodes {
+			for h, n := range f.nodes {
 				ms := n.Stats().Message
 				f.t.Logf("node %s msg: recv=%d served=%d misbehave=%d quar=%d inflightExp=%d pullsSent=%d reconnects=%d prekeySent=%d prekeyRecv=%d prekeyRej=%d",
 					h, ms.MessagesReceived, ms.MessagesServed, ms.MisbehaviorEvents, ms.Quarantines,
@@ -144,6 +129,7 @@ func (f *rejoinFleet) waitFor(refs []sos.Ref, handles []string, deadline time.Du
 			}
 			f.t.Fatalf("deliveries stalled: %d (node, ref) pairs missing", missing)
 		}
+		f.clk.Advance(50 * time.Millisecond)
 	}
 }
 
@@ -151,7 +137,8 @@ func (f *rejoinFleet) waitFor(refs []sos.Ref, handles []string, deadline time.Du
 // scenario: a node goes dark, the surviving fleet rotates session keys
 // several epochs ahead on the virtual clock, and on rejoin the node must
 // re-handshake, re-sync everything it missed, and deliver new traffic —
-// under a duplicating, reordering radio.
+// under a duplicating, reordering radio. It runs on one virtual
+// timeline, so every run replays the same schedule.
 func TestSecureKillRejoinAfterRotation(t *testing.T) {
 	clk := sos.NewVirtualClock(time.Unix(1700000000, 0))
 	ca, err := sos.NewCA("Rotation Root CA", clk)
@@ -163,7 +150,8 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chz, err := chaos.Wrap(sos.NewMemMedium(), prof)
+	radio := sos.NewSimMedium(clk)
+	chz, err := chaos.Wrap(radio, prof, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,26 +160,20 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 	f := &rejoinFleet{
 		t:      t,
 		cld:    cld,
+		radio:  radio,
 		medium: chz,
 		clk:    clk,
 		nodes:  make(map[string]*sos.Node),
 		creds:  make(map[string]*sos.Credentials),
 		dirs:   make(map[string]string),
 		seen:   make(map[string]map[sos.Ref]int),
-		wake:   make(chan struct{}, 1),
 	}
 	handles := []string{"ana", "bo", "cyd"}
 	for _, h := range handles {
 		f.start(h)
 	}
 	defer func() {
-		f.mu.Lock()
-		nodes := make([]*sos.Node, 0, len(f.nodes))
 		for _, n := range f.nodes {
-			nodes = append(nodes, n)
-		}
-		f.mu.Unlock()
-		for _, n := range nodes {
 			n.Close()
 		}
 	}()
@@ -205,7 +187,7 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 		}
 		round1 = append(round1, m.Ref())
 	}
-	f.waitFor(round1, handles, 30*time.Second)
+	f.waitFor(round1, handles, 150*time.Second)
 
 	// cyd goes dark; the virtual clock runs several rotation periods
 	// while the survivors keep talking, so their established sessions
@@ -222,7 +204,7 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 		}
 		round2 = append(round2, m.Ref())
 	}
-	f.waitFor(round2, []string{"ana", "bo"}, 30*time.Second)
+	f.waitFor(round2, []string{"ana", "bo"}, 150*time.Second)
 
 	rotations := f.nodes["ana"].SecureStats().Rotations + f.nodes["bo"].SecureStats().Rotations
 	if rotations < 1 {
@@ -232,14 +214,14 @@ func TestSecureKillRejoinAfterRotation(t *testing.T) {
 	// cyd rejoins from its persisted identity and replay directory: it
 	// must re-handshake fresh sessions and pull the full round-2 backlog.
 	f.start("cyd")
-	f.waitFor(round2, []string{"cyd"}, 30*time.Second)
+	f.waitFor(round2, []string{"cyd"}, 150*time.Second)
 
 	// The channel works both ways after the rejoin.
 	m, err := f.nodes["cyd"].Post([]byte("back from the dead"))
 	if err != nil {
 		t.Fatalf("Post(cyd): %v", err)
 	}
-	f.waitFor([]sos.Ref{m.Ref()}, []string{"ana", "bo"}, 30*time.Second)
+	f.waitFor([]sos.Ref{m.Ref()}, []string{"ana", "bo"}, 150*time.Second)
 
 	// The prekey plane survived the restart too: pools replenished, and
 	// the secure counters are visible on the metrics surface.

@@ -140,7 +140,8 @@ const (
 type (
 	// Clock supplies time to the middleware.
 	Clock = clock.Clock
-	// VirtualClock is a manually-advanced clock for simulations.
+	// VirtualClock is a manually-advanced clock for simulations and the
+	// event queue of everything scheduled on it, SimMedium included.
 	VirtualClock = clock.Virtual
 )
 

@@ -104,7 +104,7 @@ func TestPublicAPISimMedium(t *testing.T) {
 	}
 
 	medium.SetLink(alice.Peer(), bob.Peer(), sos.Bluetooth)
-	medium.RunUntil(clk.Now().Add(30 * time.Second))
+	clk.Advance(30 * time.Second)
 
 	if len(bobGot) != 1 {
 		t.Fatalf("bob received %d messages, want 1", len(bobGot))
