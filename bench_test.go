@@ -25,6 +25,7 @@ import (
 	"sos/internal/sim"
 	"sos/internal/socialgraph"
 	"sos/internal/store"
+	"sos/internal/trace"
 	"sos/internal/wire"
 )
 
@@ -35,6 +36,7 @@ func runGainesville(b *testing.B, cfg sim.GainesvilleConfig) (*sim.Result, *sim.
 	if err != nil {
 		b.Fatalf("NewGainesville: %v", err)
 	}
+	scenario.Config.Recorder = trace.NewRecorder()
 	s, err := sim.New(scenario.Config)
 	if err != nil {
 		b.Fatalf("sim.New: %v", err)
@@ -313,12 +315,13 @@ func BenchmarkContactThroughput(b *testing.B) {
 
 // BenchmarkSimContacts measures per-tick contact detection — the
 // in-silico scaling bottleneck the spatial grid index removed — at
-// 100/1k/5k nodes under constant fleet density, grid vs the old O(N²)
-// pairwise sweep. ns/op is the cost of one tick; checks/tick is the
-// machine-independent candidate-pair count sosbench gates against
-// BENCH_baseline.json (pairwise distance-tests every active pair each
-// tick, the grid a near-constant handful per node, so per-tick cost
-// grows ~linearly in occupied cells).
+// 100/1k/5k nodes under constant fleet density. ns/op is the cost of one
+// tick; checks/tick is the machine-independent candidate-pair count
+// sosbench gates against BENCH_baseline.json (the grid tests a
+// near-constant handful per node, so per-tick cost grows ~linearly in
+// occupied cells). The old O(N²) pairwise sweep, which distance-tests
+// every active pair, is measured on the same fleets by
+// internal/sim's BenchmarkPairwiseContacts.
 func BenchmarkSimContacts(b *testing.B) {
 	const samples = 32
 	for _, nodes := range []int{100, 1_000, 5_000} {
@@ -339,32 +342,6 @@ func BenchmarkSimContacts(b *testing.B) {
 			b.ReportMetric(float64(checks)/float64(b.N), "checks/tick")
 			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/tick")
 			b.ReportMetric(float64(cells)/float64(b.N), "cells/tick")
-		})
-		b.Run(fmt.Sprintf("nodes=%d/pairwise", nodes), func(b *testing.B) {
-			// The sweep distance-tests every active pair: count them per
-			// sample up front so the metric matches the work actually done
-			// (inactive nodes are skipped before the test).
-			sampleChecks := make([]int, samples)
-			for t := range sampleChecks {
-				act := 0
-				for _, a := range fleet.Active[t] {
-					if a {
-						act++
-					}
-				}
-				sampleChecks[t] = act * (act - 1) / 2
-			}
-			pairs, checks := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % samples
-				checks += sampleChecks[t]
-				sim.PairwiseContacts(fleet.Positions[t], fleet.Active[t], fleet.RangeM, func(_, _ int32) {
-					pairs++
-				})
-			}
-			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/tick")
-			b.ReportMetric(float64(checks)/float64(b.N), "checks/tick")
 		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"sos/internal/metrics"
 	"sos/internal/sim"
 	"sos/internal/socialgraph"
+	"sos/internal/trace"
 )
 
 func main() {
@@ -77,6 +78,7 @@ func run(cfg sim.GainesvilleConfig, csvDir string) error {
 	if err != nil {
 		return err
 	}
+	scenario.Config.Recorder = trace.NewRecorder()
 	s, err := sim.New(scenario.Config)
 	if err != nil {
 		return err

@@ -159,14 +159,13 @@ func runContact(jsonMode bool, baselinePath string, gate float64) error {
 }
 
 // baselineFile is the committed perf trajectory, one section per gated
-// sweep. (Earlier revisions committed a bare array of contact rows;
-// loadBaseline still reads that form.)
+// sweep.
 type baselineFile struct {
 	Contact     []lab.ContactResult `json:"contact"`
 	SimContacts []simContactResult  `json:"simContacts"`
 }
 
-// loadBaseline reads BENCH_baseline.json in either schema.
+// loadBaseline reads BENCH_baseline.json.
 func loadBaseline(path string) (*baselineFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -174,11 +173,7 @@ func loadBaseline(path string) (*baselineFile, error) {
 	}
 	var bf baselineFile
 	if err := json.Unmarshal(raw, &bf); err != nil {
-		var legacy []lab.ContactResult
-		if lerr := json.Unmarshal(raw, &legacy); lerr != nil {
-			return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-		}
-		bf.Contact = legacy
+		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
 	return &bf, nil
 }

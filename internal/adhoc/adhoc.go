@@ -66,7 +66,8 @@ var (
 // handlers that retain message contents must clone first.
 type Handler interface {
 	// PeerDiscovered fires when a peer's plain-text advertisement is seen
-	// (new peer, or refreshed summary).
+	// (new peer, or refreshed summary), except from a peer this device
+	// already holds an established link to.
 	PeerDiscovered(peer mpc.PeerID, ad *wire.Advertisement)
 	// PeerGone fires when an advertised peer leaves range.
 	PeerGone(peer mpc.PeerID)
@@ -117,6 +118,9 @@ type Stats struct {
 	FramesSent         uint64
 	FramesReceived     uint64
 	DecryptionFailures uint64
+	// BeaconsSkipped counts discovery beacons from linked peers dropped
+	// without decoding.
+	BeaconsSkipped uint64
 }
 
 // Manager is the ad hoc manager for one device.
@@ -237,21 +241,16 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// Advertise publishes the advertisement as this device's plain-text
-// discovery beacon (paper §V-A). Beacons must be full, single-frame
-// advertisements (BaseGen zero, not chunked): the medium replays the
-// current beacon to newly arrived peers, which have no base to apply a
-// delta against and no session to collect a chunk stream over.
-func (m *Manager) Advertise(ad *wire.Advertisement) error {
-	if ad.IsDelta() {
-		return fmt.Errorf("adhoc: refusing delta advertisement as discovery beacon")
-	}
-	if ad.IsChunked() {
-		return fmt.Errorf("adhoc: refusing chunked advertisement as discovery beacon")
-	}
-	buf, err := wire.Encode(ad)
-	if err != nil {
-		return fmt.Errorf("adhoc: encoding advertisement: %w", err)
+// Advertise publishes an encoded advertisement as this device's
+// plain-text discovery beacon (paper §V-A). Beacons must be full,
+// single-frame advertisements (BaseGen zero, not chunked; see
+// wire.CheckBeacon): the medium replays the current beacon to newly
+// arrived peers, which have no base to apply a delta against and no
+// session to collect a chunk stream over. The medium copies enc, so the
+// caller may reuse it.
+func (m *Manager) Advertise(enc []byte) error {
+	if err := wire.CheckBeacon(enc); err != nil {
+		return fmt.Errorf("adhoc: refusing discovery beacon: %w", err)
 	}
 	m.mu.Lock()
 	closed := m.closed
@@ -259,7 +258,7 @@ func (m *Manager) Advertise(ad *wire.Advertisement) error {
 	if closed {
 		return ErrClosed
 	}
-	m.endpoint.SetAdvertisement(buf)
+	m.endpoint.SetAdvertisement(enc)
 	return nil
 }
 
@@ -428,8 +427,21 @@ type events Manager
 var _ mpc.Events = (*events)(nil)
 
 // PeerFound implements mpc.Events: decode and surface the advertisement.
+// A beacon from a peer this device already holds an established link to
+// is counted and dropped undecoded: the authenticated in-session deltas
+// carry every change a beacon could announce, so decoding its dictionary
+// would be wasted work.
 func (e *events) PeerFound(peer mpc.PeerID, ad []byte) {
 	m := (*Manager)(e)
+	m.mu.Lock()
+	_, linked := m.links[peer]
+	if linked {
+		m.stats.BeaconsSkipped++
+	}
+	m.mu.Unlock()
+	if linked {
+		return
+	}
 	f, err := wire.Decode(ad)
 	if err != nil {
 		return // malformed beacon: ignore

@@ -97,11 +97,11 @@ func TestDiscoveryViaAdvertisement(t *testing.T) {
 	mb, _ := w.device(t, "bob", cb)
 
 	alice := id.NewUserID("alice")
-	if err := ma.Advertise(&wire.Advertisement{
+	if err := ma.Advertise(mustEncode(t, &wire.Advertisement{
 		Peer:    string(ma.Self()),
 		Gen:     1,
 		Summary: map[id.UserID]uint64{alice: 7},
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("Advertise: %v", err)
 	}
 	w.medium.SetLink(ma.Self(), mb.Self(), mpc.Bluetooth)
@@ -441,7 +441,7 @@ func TestManagerClose(t *testing.T) {
 	if err := ma.Connect(mb.Self()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Connect after close: err = %v, want ErrClosed", err)
 	}
-	if err := ma.Advertise(&wire.Advertisement{Peer: string(ma.Self())}); !errors.Is(err, ErrClosed) {
+	if err := ma.Advertise(mustEncode(t, &wire.Advertisement{Peer: string(ma.Self())})); !errors.Is(err, ErrClosed) {
 		t.Errorf("Advertise after close: err = %v, want ErrClosed", err)
 	}
 	if err := ma.Close(); err != nil {

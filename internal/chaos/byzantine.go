@@ -117,7 +117,11 @@ func NewByzantine(cfg ByzantineConfig) (*Byzantine, error) {
 	b.mu.Lock()
 	b.mgr = mgr
 	b.mu.Unlock()
-	if err := mgr.Advertise(b.fakeAd()); err != nil {
+	ad, err := wire.Encode(b.fakeAd())
+	if err == nil {
+		err = mgr.Advertise(ad)
+	}
+	if err != nil {
 		mgr.Close()
 		return nil, err
 	}

@@ -201,6 +201,12 @@ type Stats struct {
 	PrekeyBundlesSent     uint64
 	PrekeyBundlesReceived uint64
 	PrekeyRejects         uint64
+
+	// Discovery-beacon builds: in-place patches from the store's change
+	// log, and rebuilds from the summary (at start, or when the change
+	// log no longer reaches the beacon's generation).
+	BeaconPatches  uint64
+	BeaconRebuilds uint64
 }
 
 // peerSync is everything the manager knows about one peer device: the
@@ -261,13 +267,10 @@ type Manager struct {
 	// per-link summary pushes — so per-peer delta bases advance in the
 	// same order the frames are put on each link.
 	advMu sync.Mutex
-	// adValid/adGen/adScheme/adData remember the last published beacon:
-	// Advertise is a no-op while the store's summary generation and the
-	// scheme gossip are unchanged, so beacon refreshes cost O(1).
-	adValid  bool
-	adGen    uint64
-	adScheme string
-	adData   []byte
+	// beacon is the published discovery beacon (beacon.go). Advertise is
+	// a no-op while the store's summary generation and the scheme gossip
+	// are unchanged. Guarded by advMu.
+	beacon beaconState
 
 	// resyncTimer drives the in-session resync heartbeat; resyncTicks
 	// counts completed ticks (the age base for in-flight expiry); closed
@@ -275,17 +278,6 @@ type Manager struct {
 	resyncTimer clock.Timer
 	resyncTicks uint64
 	closed      bool
-	// pad caches the non-recent portion of an oversize store's beacon
-	// digest (see beaconSummary). Guarded by advMu.
-	padValid bool
-	padGen   uint64
-	pad      []padEntry
-}
-
-// padEntry is one cached beacon-digest entry.
-type padEntry struct {
-	author id.UserID
-	seq    uint64
 }
 
 // inflightEntry records which peer a message was requested from and at
@@ -433,7 +425,8 @@ func (m *Manager) SyncState() (peers, links, summaryEntries int) {
 // every active link. Core calls it at startup and after every change to
 // the store. Expired relay cargo is swept first (the store's TTL policy),
 // and nothing is sent while the summary generation and the scheme gossip
-// are unchanged.
+// are unchanged. The beacon is patched in place (beacon.go), and the one
+// change set it is patched from also serves the delta pushes.
 func (m *Manager) Advertise() error {
 	m.mu.Lock()
 	a := m.adhocMgr
@@ -449,87 +442,31 @@ func (m *Manager) Advertise() error {
 	m.advMu.Lock()
 	defer m.advMu.Unlock()
 	gen := m.cfg.Store.Generation()
-
-	m.mu.Lock()
-	genMoved := !m.adValid || m.adGen != gen
-	schemeChanged := !m.adValid || m.adScheme != name || !bytes.Equal(m.adData, data)
-	m.mu.Unlock()
-	if !genMoved && !schemeChanged {
+	b := &m.beacon
+	schemeChanged := !b.valid || b.scheme != name || !bytes.Equal(b.enc.SchemeData(), data)
+	if b.valid && b.gen == gen && !schemeChanged {
 		return nil
 	}
-
-	if err := a.Advertise(&wire.Advertisement{
-		Peer:       string(a.Self()),
-		Gen:        gen,
-		Summary:    m.beaconSummary(gen),
-		SchemeData: data,
-	}); err != nil {
+	changes, base, err := m.refreshBeacon(string(a.Self()), gen, name, data)
+	if err == nil {
+		err = a.Advertise(b.enc.Bytes())
+	}
+	if err != nil {
+		b.valid = false // rebuild and retry on the next call
 		return err
 	}
-	m.mu.Lock()
-	m.adValid, m.adGen, m.adScheme = true, gen, name
-	m.adData = append(m.adData[:0], data...)
-	m.mu.Unlock()
-
-	m.pushSummaries(gen, data, schemeChanged)
+	m.pushSummaries(gen, data, schemeChanged, base, changes)
 	return nil
-}
-
-// beaconSummary builds the dictionary the beacon carries: the full
-// summary when it fits, otherwise a bounded digest — the most recently
-// changed authors (from the change log) padded with a cached sample of
-// the rest. The digest is a discovery hint; the in-session exchange
-// after connecting is authoritative. The pad is rebuilt only every
-// MaxBeaconSummary generations, so a beacon refresh never costs
-// O(authors): taking a fresh Summary snapshot per refresh would arm the
-// store's copy-on-write and re-clone the whole dictionary on every
-// subsequent Put. Callers hold advMu (which guards the pad cache).
-func (m *Manager) beaconSummary(gen uint64) map[id.UserID]uint64 {
-	if m.cfg.Store.SummarySize() <= MaxBeaconSummary {
-		return m.cfg.Store.Summary()
-	}
-	digest := make(map[id.UserID]uint64, MaxBeaconSummary)
-	since := uint64(0)
-	if gen > MaxBeaconSummary {
-		since = gen - MaxBeaconSummary
-	}
-	if recent, ok := m.cfg.Store.Changes(since); ok {
-		for author, seq := range recent {
-			if len(digest) >= MaxBeaconSummary {
-				break
-			}
-			digest[author] = seq
-		}
-	}
-	if !m.padValid || gen-m.padGen > MaxBeaconSummary {
-		m.pad = m.pad[:0]
-		for author, seq := range m.cfg.Store.Summary() {
-			if len(m.pad) >= MaxBeaconSummary {
-				break
-			}
-			m.pad = append(m.pad, padEntry{author: author, seq: seq})
-		}
-		m.padGen, m.padValid = gen, true
-	}
-	for _, e := range m.pad {
-		if len(digest) >= MaxBeaconSummary {
-			break
-		}
-		if _, have := digest[e.author]; !have {
-			// Pad seqs may lag a little between rebuilds; as a discovery
-			// hint that is harmless.
-			digest[e.author] = e.seq
-		}
-	}
-	return digest
 }
 
 // pushSummaries sends one in-session advertisement per active link,
 // grouped so every distinct frame is encoded exactly once and the bytes
 // fan out to all links that need it (links at the same delta base share
-// an encoding; each link still seals with its own session). Callers hold
+// an encoding; each link still seals with its own session). A nonzero
+// base with its changes is a delta the caller already holds: links at
+// that base reuse it instead of asking the store again. Callers hold
 // advMu.
-func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool) {
+func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool, base uint64, changes map[id.UserID]uint64) {
 	m.mu.Lock()
 	// Group in sorted peer order, not map order, so a simulated run puts
 	// its frames on the air in the same order every time.
@@ -548,21 +485,21 @@ func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool) {
 	groups := buf[:0]
 	for _, peer := range m.order {
 		ps := m.peers[peer]
-		base := ps.sentGen
+		from := ps.sentGen
 		switch {
 		case !ps.sentValid || ps.sentGen == 0 || ps.sentGen > gen:
 			// No usable base: first contact on this link, state reset by
 			// PeerGone, or a base from a store this engine no longer is.
-			base = 0
+			from = 0
 		case ps.sentGen == gen && !schemeChanged:
 			continue // peer is current
 		}
 		i := 0
-		for i < len(groups) && groups[i].base != base {
+		for i < len(groups) && groups[i].base != from {
 			i++
 		}
 		if i == len(groups) {
-			groups = append(groups, adGroup{base: base})
+			groups = append(groups, adGroup{base: from})
 		}
 		groups[i].links = append(groups[i].links, ps.link)
 		ps.sentValid, ps.sentGen = true, gen
@@ -576,7 +513,10 @@ func (m *Manager) pushSummaries(gen uint64, data []byte, schemeChanged bool) {
 			fullLinks = append(fullLinks, g.links...)
 			continue
 		}
-		delta, ok := m.cfg.Store.Changes(g.base)
+		delta, ok := changes, true
+		if g.base != base {
+			delta, ok = m.cfg.Store.Changes(g.base)
+		}
 		if !ok {
 			// The change log no longer reaches the peer's base: fall back
 			// to a full summary.
@@ -902,7 +842,13 @@ func (m *Manager) sendAdTo(link *adhoc.Link, forceFull bool) {
 type summaryChunker struct {
 	store  store.Engine
 	stripe int
-	buf    []padEntry
+	buf    []summaryEntry
+}
+
+// summaryEntry is one buffered summary-chunk entry.
+type summaryEntry struct {
+	author id.UserID
+	seq    uint64
 }
 
 // next returns the next chunk and whether more chunks follow. After the
@@ -911,7 +857,7 @@ type summaryChunker struct {
 func (c *summaryChunker) next() (map[id.UserID]uint64, bool) {
 	for len(c.buf) < SummaryChunkEntries && c.stripe < c.store.SummaryStripes() {
 		for author, seq := range c.store.SummaryStripe(c.stripe) {
-			c.buf = append(c.buf, padEntry{author: author, seq: seq})
+			c.buf = append(c.buf, summaryEntry{author: author, seq: seq})
 		}
 		c.stripe++
 	}

@@ -82,7 +82,10 @@ func TestQuarantineEndsInRelink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("adhoc.New(bob): %v", err)
 	}
-	beacon := &wire.Advertisement{Peer: "bob-phone", Summary: map[id.UserID]uint64{bobCreds.Ident.User: 1}}
+	beacon, err := wire.Encode(&wire.Advertisement{Peer: "bob-phone", Summary: map[id.UserID]uint64{bobCreds.Ident.User: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := bobAd.Advertise(beacon); err != nil {
 		t.Fatalf("Advertise(bob): %v", err)
 	}

@@ -51,7 +51,7 @@ func (m *MemMedium) Join(peer PeerID, events Events) (Endpoint, error) {
 			continue
 		}
 		other.mu.Lock()
-		ad := cloneBytes(other.ad)
+		ad := other.ad // immutable once published; shared by every receiver
 		other.mu.Unlock()
 		if ad == nil {
 			continue
@@ -102,7 +102,7 @@ func (m *MemMedium) reachable(a, b PeerID) bool {
 // notifyFound tells `to` about `from` if `from` is advertising.
 func notifyFound(to, from *memEndpoint) {
 	from.mu.Lock()
-	ad := cloneBytes(from.ad)
+	ad := from.ad // immutable once published; shared by every receiver
 	from.mu.Unlock()
 	if ad == nil {
 		return
@@ -164,7 +164,10 @@ func (ep *memEndpoint) SetAdvertisement(ad []byte) {
 		return
 	}
 	wasAdvertising := ep.ad != nil
+	// The one copy per change: every receiver's PeerFound shares it, and
+	// it is replaced, never mutated, by the next SetAdvertisement.
 	ep.ad = cloneBytes(ad)
+	payload := ep.ad
 	ep.mu.Unlock()
 
 	ep.medium.mu.Lock()
@@ -180,8 +183,7 @@ func (ep *memEndpoint) SetAdvertisement(ad []byte) {
 	for _, other := range others {
 		other := other
 		switch {
-		case ad != nil:
-			payload := cloneBytes(ad)
+		case payload != nil:
 			other.dispatcher.Post(func() { other.events.PeerFound(self, payload) })
 		case wasAdvertising:
 			other.dispatcher.Post(func() { other.events.PeerLost(self) })

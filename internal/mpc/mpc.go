@@ -141,7 +141,9 @@ type Conn interface {
 // so from a dedicated goroutine, SimMedium from the simulation loop.
 type Events interface {
 	// PeerFound fires when an advertising peer comes into range or updates
-	// its advertisement. ad is the raw advertisement payload.
+	// its advertisement. ad is the raw advertisement payload. Media copy
+	// a payload once per change and hand every receiver that same copy,
+	// so receivers must treat ad as read-only; they may keep it.
 	PeerFound(peer PeerID, ad []byte)
 	// PeerLost fires when a previously-found peer leaves range.
 	PeerLost(peer PeerID)
@@ -158,7 +160,8 @@ type Endpoint interface {
 	// Self returns the local device name.
 	Self() PeerID
 	// SetAdvertisement publishes (or, with nil, withdraws) the plain-text
-	// discovery payload other devices see in PeerFound.
+	// discovery payload other devices see in PeerFound. The endpoint
+	// copies ad, so the caller may reuse it after the call.
 	SetAdvertisement(ad []byte)
 	// Connect opens a connection to a discovered peer.
 	Connect(peer PeerID) (Conn, error)

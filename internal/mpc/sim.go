@@ -163,7 +163,7 @@ func (m *SimMedium) announce(to, from *simEndpoint) {
 	if from.ad == nil || to.closed || from.closed {
 		return
 	}
-	to.events.PeerFound(from.self, cloneBytes(from.ad))
+	to.events.PeerFound(from.self, from.ad) // shared; see SetAdvertisement
 }
 
 // lost fires PeerLost at `to` about `from` if `from` advertises.
@@ -214,6 +214,8 @@ func (ep *simEndpoint) SetAdvertisement(ad []byte) {
 		return
 	}
 	wasAdvertising := ep.ad != nil
+	// The one copy per change: every receiver's PeerFound shares it, and
+	// it is replaced, never mutated, by the next SetAdvertisement.
 	ep.ad = cloneBytes(ad)
 	m := ep.medium
 	at := m.clk.Now().Add(m.DiscoveryDelay)

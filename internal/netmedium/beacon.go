@@ -98,7 +98,7 @@ func (b *beacon) encode() ([]byte, error) {
 }
 
 // parseBeacon decodes one datagram, rejecting anything that is not a
-// well-formed SOS beacon.
+// well-formed SOS beacon. The advertisement payload aliases buf.
 func parseBeacon(buf []byte) (*beacon, error) {
 	if len(buf) < 15 || [4]byte(buf[:4]) != beaconMagic {
 		return nil, errBadBeacon
@@ -140,7 +140,7 @@ func parseBeacon(buf []byte) (*beacon, error) {
 		if len(rest) != adLen {
 			return nil, errBadBeacon
 		}
-		b.ad = append([]byte(nil), rest...)
+		b.ad = rest
 	} else if len(rest) != 0 {
 		return nil, errBadBeacon
 	}

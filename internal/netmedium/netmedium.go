@@ -233,6 +233,12 @@ func (m *Medium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) 
 		ep.releaseSockets()
 		return nil, err
 	}
+	// Until an advertisement is published, beacons still tell peers
+	// where this endpoint's sessions listen.
+	if err := ep.encodeBeaconLocked(nil); err != nil {
+		ep.releaseSockets()
+		return nil, err
+	}
 
 	m.mu.Lock()
 	if _, dup := m.endpoints[peer]; dup {
@@ -342,16 +348,16 @@ type Endpoint struct {
 	listeners map[mpc.Technology]net.Listener
 	ports     map[mpc.Technology]uint16
 
-	mu     sync.Mutex
-	ad     []byte
-	peers  map[mpc.PeerID]*peerState
-	conns  map[*netConn]struct{}
-	closed bool
-	// beaconCache is the encoded periodic beacon, rebuilt only when the
-	// advertisement changes: name, epoch, and ports are fixed for the
+	mu    sync.Mutex
+	peers map[mpc.PeerID]*peerState
+	conns map[*netConn]struct{}
+	// beaconCache is the encoded periodic beacon, built once per
+	// advertisement change: name, epoch, and ports are fixed for the
 	// endpoint's lifetime, so the per-interval datagram need not be
-	// re-encoded every tick.
+	// re-encoded every tick. The published advertisement lives only in
+	// its tail; the endpoint keeps no other copy.
 	beaconCache []byte
+	closed      bool
 
 	closing chan struct{}
 	wg      sync.WaitGroup
@@ -428,19 +434,63 @@ func (ep *Endpoint) start() {
 // Self implements mpc.Endpoint.
 func (ep *Endpoint) Self() mpc.PeerID { return ep.self }
 
-// SetAdvertisement implements mpc.Endpoint: the payload rides every
-// subsequent beacon, and one goes out immediately so peers in range see
-// changes without waiting out the interval.
+// SetAdvertisement implements mpc.Endpoint: the payload is encoded into
+// the beacon datagram once and rides every subsequent periodic beacon.
+// The changed beacon also goes out at once when some peer may learn of
+// the change only through discovery: no peer has been heard yet, or a
+// known peer has no open session with this endpoint. Peers with a
+// session hear of every change through it, so when all known peers have
+// one, the next periodic beacon (within BeaconInterval) carries it.
 func (ep *Endpoint) SetAdvertisement(ad []byte) {
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
 		return
 	}
-	ep.ad = bytes.Clone(ad)
-	ep.beaconCache = nil
+	if err := ep.encodeBeaconLocked(ad); err != nil {
+		ep.mu.Unlock()
+		ep.m.logf("netmedium: %s: advertisement not published: %v", ep.self, err)
+		return
+	}
+	now := ep.needsPromptBeaconLocked()
 	ep.mu.Unlock()
-	ep.sendBeacon(false)
+	if now {
+		ep.sendBeacon(false)
+	}
+}
+
+// encodeBeaconLocked rebuilds the cached beacon datagram around a new
+// advertisement (nil withdraws it). Callers hold ep.mu.
+func (ep *Endpoint) encodeBeaconLocked(ad []byte) error {
+	b := &beacon{name: ep.self, epoch: ep.epoch, advertising: ad != nil, ports: ep.ports, ad: ad}
+	buf, err := b.encode()
+	if err != nil {
+		return err
+	}
+	ep.beaconCache = buf
+	return nil
+}
+
+// needsPromptBeaconLocked reports whether a changed beacon should go out
+// before the next tick: no peer has been heard yet, or some known peer
+// has no open session with this endpoint. Callers hold ep.mu.
+func (ep *Endpoint) needsPromptBeaconLocked() bool {
+	if len(ep.peers) == 0 {
+		return true
+	}
+	for name := range ep.peers {
+		linked := false
+		for c := range ep.conns {
+			if c.peer == name {
+				linked = true
+				break
+			}
+		}
+		if !linked {
+			return true
+		}
+	}
+	return false
 }
 
 // Connect implements mpc.Endpoint: dial the fastest technology the peer
@@ -621,7 +671,6 @@ func (ep *Endpoint) Close() error {
 		return nil
 	}
 	ep.closed = true
-	ep.ad = nil
 	conns := make([]*netConn, 0, len(ep.conns))
 	for c := range ep.conns {
 		conns = append(conns, c)
@@ -644,29 +693,18 @@ func (ep *Endpoint) Close() error {
 }
 
 // sendBeacon broadcasts the endpoint's current state to every target.
-// The steady-state (non-goodbye) datagram is encoded once per
-// advertisement change and cached.
+// The steady-state (non-goodbye) datagram is the one SetAdvertisement
+// encoded.
 func (ep *Endpoint) sendBeacon(goodbye bool) {
 	ep.mu.Lock()
 	buf := ep.beaconCache
-	if goodbye || buf == nil {
-		b := &beacon{
-			name:        ep.self,
-			epoch:       ep.epoch,
-			goodbye:     goodbye,
-			advertising: ep.ad != nil,
-			ports:       ep.ports,
-			ad:          ep.ad,
-		}
+	if goodbye {
 		var err error
-		buf, err = b.encode()
+		buf, err = (&beacon{name: ep.self, epoch: ep.epoch, goodbye: true, ports: ep.ports}).encode()
 		if err != nil {
 			ep.mu.Unlock()
 			ep.m.logf("netmedium: %s: beacon not sent: %v", ep.self, err)
 			return
-		}
-		if !goodbye {
-			ep.beaconCache = buf
 		}
 	}
 	ep.mu.Unlock()
@@ -754,10 +792,12 @@ func (ep *Endpoint) handleBeacon(b *beacon, src *net.UDPAddr) {
 
 	switch {
 	case b.advertising && (!ps.advertised || !bytes.Equal(ps.ad, b.ad)):
+		// b.ad aliases the receive buffer: copy it once per change, and
+		// share that copy with PeerFound.
 		ps.advertised = true
-		ps.ad = b.ad
+		ps.ad = bytes.Clone(b.ad)
 		ep.m.cfg.Tracer.Event(ep.netTrack(b.name), "beacon.seen")
-		ep.postFound(b.name, b.ad)
+		ep.postFound(b.name, ps.ad)
 	case !b.advertising && ps.advertised:
 		ps.advertised = false
 		ps.ad = nil
@@ -765,10 +805,10 @@ func (ep *Endpoint) handleBeacon(b *beacon, src *net.UDPAddr) {
 	}
 }
 
-// postFound queues PeerFound. Callers hold ep.mu.
+// postFound queues PeerFound with the peer's stored advertisement, which
+// is replaced, never mutated, on change. Callers hold ep.mu.
 func (ep *Endpoint) postFound(peer mpc.PeerID, ad []byte) {
-	payload := bytes.Clone(ad)
-	ep.queue.Post(func() { ep.events.PeerFound(peer, payload) })
+	ep.queue.Post(func() { ep.events.PeerFound(peer, ad) })
 }
 
 // postLost queues PeerLost. Callers hold ep.mu.

@@ -85,6 +85,10 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Message.SummaryChunksSent })
 		reg.CounterFunc("sos_sync_plan_entries_scanned_total", "Summary entries walked by request planning.", nil,
 			func() uint64 { return mw.Stats().Message.PlanEntriesScanned })
+		reg.CounterFunc("sos_sync_beacon_builds_total", "Discovery-beacon builds.", Labels{"kind": "patch"},
+			func() uint64 { return mw.Stats().Message.BeaconPatches })
+		reg.CounterFunc("sos_sync_beacon_builds_total", "Discovery-beacon builds.", Labels{"kind": "full"},
+			func() uint64 { return mw.Stats().Message.BeaconRebuilds })
 		reg.GaugeFunc("sos_sync_peers", "Peers with cached sync state.", nil,
 			func() float64 { p, _, _ := mw.SyncState(); return float64(p) })
 		reg.GaugeFunc("sos_sync_links", "Peers currently linked.", nil,
@@ -125,6 +129,8 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Adhoc.FramesReceived })
 		reg.CounterFunc("sos_adhoc_decryption_failures_total", "Link frames that failed authenticated decryption.", nil,
 			func() uint64 { return mw.Stats().Adhoc.DecryptionFailures })
+		reg.CounterFunc("sos_adhoc_beacons_skipped_total", "Discovery beacons from linked peers dropped undecoded.", nil,
+			func() uint64 { return mw.Stats().Adhoc.BeaconsSkipped })
 
 		// Misbehavior plane: the quarantine machinery that isolates
 		// byzantine peers (see internal/message/misbehavior.go).

@@ -59,7 +59,7 @@ func TestGridMatchesPairwiseSweep(t *testing.T) {
 			gridSet[[2]int32{i, j}] = true
 		})
 		pairSet := make(map[[2]int32]bool)
-		PairwiseContacts(positions, active, rangeM, func(i, j int32) {
+		pairwiseContacts(positions, active, rangeM, func(i, j int32) {
 			pairSet[[2]int32{i, j}] = true
 		})
 
@@ -104,7 +104,7 @@ func TestGridExactRangeBoundary(t *testing.T) {
 		got = append(got, [2]int32{i, j})
 	})
 	var want [][2]int32
-	PairwiseContacts(positions, nil, rangeM, func(i, j int32) {
+	pairwiseContacts(positions, nil, rangeM, func(i, j int32) {
 		want = append(want, [2]int32{i, j})
 	})
 	if fmt.Sprint(got) != fmt.Sprint(want) && len(got) != len(want) {

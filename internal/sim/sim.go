@@ -100,6 +100,11 @@ type Config struct {
 	Nodes []NodeSpec
 	// Workload is the scheduled action list (sorted internally).
 	Workload []Event
+	// Recorder, when set, receives the run's geo-tagged message events
+	// and every radio contact transition (Result.Recorder returns it).
+	// Nil records nothing: long runs that only need the metrics skip the
+	// per-contact log entirely.
+	Recorder *trace.Recorder
 	// Contacts, when non-empty, switches the run to trace-driven
 	// contacts: the listed link up/down events are replayed verbatim
 	// (Haggle/CRAWDAD-style encounter dumps parsed by ParseContactTrace)
@@ -198,9 +203,11 @@ func New(cfg Config) (*Sim, error) {
 	master := rand.New(rand.NewSource(cfg.Seed))
 	clk := clock.NewVirtual(cfg.Start)
 	medium := mpc.NewSimMedium(clk)
-	recorder := trace.NewRecorder()
+	recorder := cfg.Recorder
 	collector := metrics.NewCollector()
-	medium.OnContact = recorder.RecordContact
+	if recorder != nil {
+		medium.OnContact = recorder.RecordContact
+	}
 
 	ca, err := pki.NewCA("AlleyOop Root CA",
 		pki.WithClock(clk.Now),
@@ -358,7 +365,9 @@ func (s *Sim) NodeByHandle(handle string) (*Node, bool) {
 func (s *Sim) onReceive(n *Node, m *msg.Message) {
 	now := s.clk.Now()
 	ref := m.Ref()
-	s.recorder.RecordPassed(ref, n.User, now, n.Position(now))
+	if s.recorder != nil {
+		s.recorder.RecordPassed(ref, n.User, now, n.Position(now))
+	}
 	s.collector.Disseminated(ref)
 	if n.MW.Store().IsSubscribed(m.Author) {
 		s.collector.Delivered(ref, n.User, now, m.Hops)
@@ -453,7 +462,9 @@ func (s *Sim) execute(ev Event) error {
 			return fmt.Errorf("sim: %s posting: %w", ev.Handle, err)
 		}
 		s.collector.MessageCreated(m.Ref(), m.Created)
-		s.recorder.RecordCreated(m.Ref(), n.User, m.Created, n.Position(m.Created))
+		if s.recorder != nil {
+			s.recorder.RecordCreated(m.Ref(), n.User, m.Created, n.Position(m.Created))
+		}
 	case ActionFollow:
 		target, ok := s.byHandle[ev.Target]
 		if !ok {

@@ -10,6 +10,7 @@ import (
 	"sos/internal/metrics"
 	"sos/internal/mobility"
 	"sos/internal/mpc"
+	"sos/internal/trace"
 )
 
 var start = time.Date(2017, 4, 3, 0, 0, 0, 0, time.UTC)
@@ -112,6 +113,7 @@ func TestMovingNodesMeetAndDeliver(t *testing.T) {
 		Workload: []Event{
 			{At: start.Add(time.Minute), Handle: "alice", Action: ActionPost, Payload: []byte("catch me later")},
 		},
+		Recorder: trace.NewRecorder(),
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -132,6 +134,22 @@ func TestMovingNodesMeetAndDeliver(t *testing.T) {
 	}
 	if res.Recorder.ContactCount() == 0 {
 		t.Error("no contacts recorded")
+	}
+
+	// Without a recorder nothing is logged, and the run is the same.
+	cfg.Recorder = nil
+	if s, err = New(cfg); err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	bare, err := s.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if bare.Recorder != nil {
+		t.Error("a run without a recorder returned one")
+	}
+	if got := bare.Collector.Deliveries(metrics.AllHops); len(got) != 1 || got[0].Delay() != deliveries[0].Delay() {
+		t.Errorf("unrecorded run delivered %d (want 1, same delay as the recorded run)", len(got))
 	}
 }
 

@@ -113,6 +113,7 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 	// advertisement left alice, and a message was served to bob.
 	for _, series := range []string{
 		"sos_sync_ads_full_sent_total",
+		"sos_sync_beacon_builds_total{kind=\"full\"}",
 		"sos_message_served_total",
 		"sos_net_beacons_total{dir=\"sent\"}",
 		"sos_net_frames_total{dir=\"sent\"}",
