@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"sos/internal/mpc"
 )
@@ -33,16 +32,50 @@ var (
 	errAdTooBig  = errors.New("netmedium: advertisement exceeds beacon capacity")
 )
 
+// maxBeaconTechs caps a beacon's port table: one entry per radio
+// technology, with room to spare.
+const maxBeaconTechs = 8
+
+// techPort is one port-table entry: a technology's TCP listener port.
+type techPort struct {
+	tech mpc.Technology
+	port uint16
+}
+
+// portTable lists a beacon's per-technology listener ports in wire
+// order. A fixed array keeps parsing free of allocations and lets an
+// unchanged table compare equal with ==.
+type portTable struct {
+	n       int
+	entries [maxBeaconTechs]techPort
+}
+
+// add appends one entry.
+func (t *portTable) add(tech mpc.Technology, port uint16) error {
+	if tech <= 0 || tech > 255 {
+		return fmt.Errorf("netmedium: technology %d does not fit the beacon encoding", tech)
+	}
+	if t.n == maxBeaconTechs {
+		return fmt.Errorf("netmedium: more than %d technologies in beacon", maxBeaconTechs)
+	}
+	t.entries[t.n] = techPort{tech, port}
+	t.n++
+	return nil
+}
+
+// list returns the table's entries.
+func (t *portTable) list() []techPort { return t.entries[:t.n] }
+
 // beacon is the decoded form of one discovery datagram: who the sender
 // is, which incarnation of it is speaking, where its per-technology TCP
 // listeners are, and — if it is advertising — the opaque advertisement
 // payload the layers above will decode as a wire.Advertisement.
 type beacon struct {
-	name        mpc.PeerID
+	name        []byte
 	epoch       uint64 // random per-endpoint incarnation; changes on restart
 	goodbye     bool
 	advertising bool
-	ports       map[mpc.Technology]uint16
+	ports       portTable
 	ad          []byte
 }
 
@@ -55,9 +88,6 @@ type beacon struct {
 func (b *beacon) encode() ([]byte, error) {
 	if len(b.name) == 0 || len(b.name) > 255 {
 		return nil, fmt.Errorf("netmedium: beacon name %d bytes", len(b.name))
-	}
-	if len(b.ports) > 255 {
-		return nil, fmt.Errorf("netmedium: %d technologies in beacon", len(b.ports))
 	}
 	if b.advertising && len(b.ad) > MaxBeaconAd {
 		return nil, fmt.Errorf("%w: %d bytes", errAdTooBig, len(b.ad))
@@ -75,20 +105,10 @@ func (b *beacon) encode() ([]byte, error) {
 	out = binary.BigEndian.AppendUint64(out, b.epoch)
 	out = append(out, byte(len(b.name)))
 	out = append(out, b.name...)
-	// Emit the port table sorted by technology so the encoding is
-	// deterministic and the entry count always matches the entries.
-	techs := make([]mpc.Technology, 0, len(b.ports))
-	for tech := range b.ports {
-		if tech <= 0 || tech > 255 {
-			return nil, fmt.Errorf("netmedium: technology %d does not fit the beacon encoding", tech)
-		}
-		techs = append(techs, tech)
-	}
-	sort.Slice(techs, func(i, j int) bool { return techs[i] < techs[j] })
-	out = append(out, byte(len(techs)))
-	for _, tech := range techs {
-		out = append(out, byte(tech))
-		out = binary.BigEndian.AppendUint16(out, b.ports[tech])
+	out = append(out, byte(b.ports.n))
+	for _, e := range b.ports.list() {
+		out = append(out, byte(e.tech))
+		out = binary.BigEndian.AppendUint16(out, e.port)
 	}
 	if b.advertising {
 		out = binary.BigEndian.AppendUint16(out, uint16(len(b.ad)))
@@ -97,52 +117,52 @@ func (b *beacon) encode() ([]byte, error) {
 	return out, nil
 }
 
-// parseBeacon decodes one datagram, rejecting anything that is not a
-// well-formed SOS beacon. The advertisement payload aliases buf.
-func parseBeacon(buf []byte) (*beacon, error) {
+// parseBeacon decodes one datagram into b, rejecting anything that is
+// not a well-formed SOS beacon. The name and advertisement payload alias
+// buf, so a receive loop can reuse one beacon and one buffer for every
+// datagram without allocating.
+func parseBeacon(buf []byte, b *beacon) error {
+	*b = beacon{}
 	if len(buf) < 15 || [4]byte(buf[:4]) != beaconMagic {
-		return nil, errBadBeacon
+		return errBadBeacon
 	}
 	if buf[4] != beaconVersion {
-		return nil, fmt.Errorf("%w: version %d", errBadBeacon, buf[4])
+		return fmt.Errorf("%w: version %d", errBadBeacon, buf[4])
 	}
 	flags := buf[5]
-	b := &beacon{
-		epoch:       binary.BigEndian.Uint64(buf[6:14]),
-		goodbye:     flags&flagGoodbye != 0,
-		advertising: flags&flagAdvertising != 0,
-		ports:       make(map[mpc.Technology]uint16),
-	}
+	b.epoch = binary.BigEndian.Uint64(buf[6:14])
+	b.goodbye = flags&flagGoodbye != 0
+	b.advertising = flags&flagAdvertising != 0
 	rest := buf[14:]
 	nameLen := int(rest[0])
 	rest = rest[1:]
 	if nameLen == 0 || len(rest) < nameLen+1 {
-		return nil, errBadBeacon
+		return errBadBeacon
 	}
-	b.name = mpc.PeerID(rest[:nameLen])
+	b.name = rest[:nameLen]
 	rest = rest[nameLen:]
 	ntech := int(rest[0])
 	rest = rest[1:]
-	if len(rest) < 3*ntech {
-		return nil, errBadBeacon
+	if ntech > maxBeaconTechs || len(rest) < 3*ntech {
+		return errBadBeacon
 	}
 	for i := 0; i < ntech; i++ {
-		tech := mpc.Technology(rest[0])
-		b.ports[tech] = binary.BigEndian.Uint16(rest[1:3])
+		b.ports.entries[i] = techPort{mpc.Technology(rest[0]), binary.BigEndian.Uint16(rest[1:3])}
 		rest = rest[3:]
 	}
+	b.ports.n = ntech
 	if b.advertising {
 		if len(rest) < 2 {
-			return nil, errBadBeacon
+			return errBadBeacon
 		}
 		adLen := int(binary.BigEndian.Uint16(rest))
 		rest = rest[2:]
 		if len(rest) != adLen {
-			return nil, errBadBeacon
+			return errBadBeacon
 		}
 		b.ad = rest
 	} else if len(rest) != 0 {
-		return nil, errBadBeacon
+		return errBadBeacon
 	}
-	return b, nil
+	return nil
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"syscall"
 	"time"
@@ -221,7 +222,6 @@ func (m *Medium) Join(peer mpc.PeerID, events mpc.Events) (mpc.Endpoint, error) 
 		self:      peer,
 		events:    events,
 		listeners: make(map[mpc.Technology]net.Listener),
-		ports:     make(map[mpc.Technology]uint16),
 		peers:     make(map[mpc.PeerID]*peerState),
 		conns:     make(map[*netConn]struct{}),
 		closing:   make(chan struct{}),
@@ -286,7 +286,9 @@ func (m *Medium) SetReachable(a, b mpc.PeerID, up bool) {
 	// and rediscovery follows within one interval.
 }
 
-// isBlocked reports whether the pair is severed on this instance.
+// isBlocked reports whether the pair is severed on this instance. It
+// may be called under an endpoint's mu: m.mu is never held while taking
+// one.
 func (m *Medium) isBlocked(a, b mpc.PeerID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -328,8 +330,9 @@ func (m *Medium) logf(format string, args ...any) {
 
 // peerState is what an endpoint knows about one discovered peer.
 type peerState struct {
-	ip         net.IP // from the beacon's UDP source address
-	ports      map[mpc.Technology]uint16
+	name       mpc.PeerID
+	ip         netip.Addr // from the beacon's UDP source address
+	ports      portTable
 	epoch      uint64
 	ad         []byte
 	advertised bool // a PeerFound is outstanding without a PeerLost
@@ -346,7 +349,7 @@ type Endpoint struct {
 
 	udp       *net.UDPConn
 	listeners map[mpc.Technology]net.Listener
-	ports     map[mpc.Technology]uint16
+	ports     portTable
 
 	mu    sync.Mutex
 	peers map[mpc.PeerID]*peerState
@@ -392,7 +395,9 @@ func (ep *Endpoint) bind() error {
 			return fmt.Errorf("netmedium: binding %s listener: %w", tech, err)
 		}
 		ep.listeners[tech] = lis
-		ep.ports[tech] = uint16(lis.Addr().(*net.TCPAddr).Port)
+		if err := ep.ports.add(tech, uint16(lis.Addr().(*net.TCPAddr).Port)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -462,7 +467,7 @@ func (ep *Endpoint) SetAdvertisement(ad []byte) {
 // encodeBeaconLocked rebuilds the cached beacon datagram around a new
 // advertisement (nil withdraws it). Callers hold ep.mu.
 func (ep *Endpoint) encodeBeaconLocked(ad []byte) error {
-	b := &beacon{name: ep.self, epoch: ep.epoch, advertising: ad != nil, ports: ep.ports, ad: ad}
+	b := &beacon{name: []byte(ep.self), epoch: ep.epoch, advertising: ad != nil, ports: ep.ports, ad: ad}
 	buf, err := b.encode()
 	if err != nil {
 		return err
@@ -572,8 +577,8 @@ func (ep *Endpoint) dialOnce(peer mpc.PeerID, deadline time.Time) (mpc.Conn, err
 		return nil, mpc.ErrClosed
 	}
 	ps, known := ep.peers[peer]
-	var ip net.IP
-	var ports map[mpc.Technology]uint16
+	var ip netip.Addr
+	var ports portTable
 	if known {
 		ip = ps.ip
 		ports = ps.ports
@@ -590,7 +595,7 @@ func (ep *Endpoint) dialOnce(peer mpc.PeerID, deadline time.Time) (mpc.Conn, err
 		return nil, err
 	}
 
-	sock, err := net.DialTimeout("tcp", net.JoinHostPort(ip.String(), fmt.Sprint(port)), time.Until(deadline))
+	sock, err := net.DialTimeout("tcp", netip.AddrPortFrom(ip, port).String(), time.Until(deadline))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", mpc.ErrPeerGone, peer, err)
 	}
@@ -620,17 +625,17 @@ func (ep *Endpoint) dialOnce(peer mpc.PeerID, deadline time.Time) (mpc.Conn, err
 }
 
 // pickTechnology chooses the highest-bitrate technology the peer offers.
-func pickTechnology(ports map[mpc.Technology]uint16) (mpc.Technology, uint16, error) {
-	best := mpc.Technology(0)
-	for tech := range ports {
-		if tech.Bitrate() > best.Bitrate() {
-			best = tech
+func pickTechnology(ports portTable) (mpc.Technology, uint16, error) {
+	var best techPort
+	for _, e := range ports.list() {
+		if e.tech.Bitrate() > best.tech.Bitrate() {
+			best = e
 		}
 	}
-	if best == 0 {
+	if best.tech == 0 {
 		return 0, 0, errors.New("netmedium: peer advertises no session ports")
 	}
-	return best, ports[best], nil
+	return best.tech, best.port, nil
 }
 
 // adopt registers a connection with the endpoint; with announce it also
@@ -700,7 +705,7 @@ func (ep *Endpoint) sendBeacon(goodbye bool) {
 	buf := ep.beaconCache
 	if goodbye {
 		var err error
-		buf, err = (&beacon{name: ep.self, epoch: ep.epoch, goodbye: true, ports: ep.ports}).encode()
+		buf, err = (&beacon{name: []byte(ep.self), epoch: ep.epoch, goodbye: true, ports: ep.ports}).encode()
 		if err != nil {
 			ep.mu.Unlock()
 			ep.m.logf("netmedium: %s: beacon not sent: %v", ep.self, err)
@@ -733,60 +738,69 @@ func (ep *Endpoint) beaconLoop() {
 	}
 }
 
-// recvLoop parses incoming beacons until the UDP socket closes.
+// recvLoop parses incoming beacons until the UDP socket closes. One
+// buffer and one beacon serve every datagram, so an unchanged periodic
+// beacon from a known peer costs no allocation.
 func (ep *Endpoint) recvLoop() {
 	defer ep.wg.Done()
 	buf := make([]byte, 65536)
+	var b beacon
 	for {
-		n, src, err := ep.udp.ReadFromUDP(buf)
+		n, src, err := ep.udp.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
-		b, err := parseBeacon(buf[:n])
-		if err != nil {
+		if parseBeacon(buf[:n], &b) != nil {
 			continue // stray traffic on the beacon port
 		}
 		ep.m.stats.beaconsReceived.Add(1)
-		ep.handleBeacon(b, src)
+		ep.handleBeacon(&b, src.Addr().Unmap())
 	}
 }
 
 // handleBeacon folds one beacon into the peer table and fires discovery
-// events.
-func (ep *Endpoint) handleBeacon(b *beacon, src *net.UDPAddr) {
-	if b.name == ep.self || b.epoch == ep.epoch {
+// events. b aliases the receive buffer; only a new peer or a changed
+// advertisement allocates.
+func (ep *Endpoint) handleBeacon(b *beacon, src netip.Addr) {
+	if string(b.name) == string(ep.self) || b.epoch == ep.epoch {
 		return // our own beacon, possibly echoed by broadcast
-	}
-	if ep.m.isBlocked(ep.self, b.name) {
-		return
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
 		return
 	}
-	ps := ep.peers[b.name]
+	ps := ep.peers[mpc.PeerID(b.name)]
+	var name mpc.PeerID
+	if ps != nil {
+		name = ps.name
+	} else {
+		name = mpc.PeerID(b.name)
+	}
+	if ep.m.isBlocked(ep.self, name) {
+		return
+	}
 
 	if b.goodbye {
 		if ps != nil {
 			if ps.advertised {
-				ep.postLost(b.name)
+				ep.postLost(name)
 			}
-			delete(ep.peers, b.name)
+			delete(ep.peers, name)
 		}
 		return
 	}
 	if ps == nil {
-		ps = &peerState{}
-		ep.peers[b.name] = ps
+		ps = &peerState{name: name}
+		ep.peers[name] = ps
 	} else if ps.epoch != b.epoch && ps.advertised {
 		// The peer restarted; its previous incarnation is gone.
-		ep.postLost(b.name)
+		ep.postLost(name)
 		ps.advertised = false
 		ps.ad = nil
 	}
 	ps.epoch = b.epoch
-	ps.ip = src.IP
+	ps.ip = src
 	ps.ports = b.ports
 	ps.lastSeen = time.Now()
 
@@ -796,12 +810,12 @@ func (ep *Endpoint) handleBeacon(b *beacon, src *net.UDPAddr) {
 		// share that copy with PeerFound.
 		ps.advertised = true
 		ps.ad = bytes.Clone(b.ad)
-		ep.m.cfg.Tracer.Event(ep.netTrack(b.name), "beacon.seen")
-		ep.postFound(b.name, ps.ad)
+		ep.m.cfg.Tracer.Event(ep.netTrack(name), "beacon.seen")
+		ep.postFound(name, ps.ad)
 	case !b.advertising && ps.advertised:
 		ps.advertised = false
 		ps.ad = nil
-		ep.postLost(b.name)
+		ep.postLost(name)
 	}
 }
 

@@ -3,6 +3,7 @@ package netmedium
 import (
 	"bytes"
 	"net"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,22 +12,34 @@ import (
 	"sos/internal/mpc"
 )
 
+// ports builds a port table for tests.
+func ports(t *testing.T, entries ...techPort) portTable {
+	t.Helper()
+	var pt portTable
+	for _, e := range entries {
+		if err := pt.add(e.tech, e.port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pt
+}
+
 func TestBeaconRoundTrip(t *testing.T) {
 	cases := []*beacon{
-		{name: "alice-device", epoch: 42, advertising: true,
-			ports: map[mpc.Technology]uint16{mpc.Bluetooth: 7500, mpc.InfrastructureWiFi: 7502},
+		{name: []byte("alice-device"), epoch: 42, advertising: true,
+			ports: ports(t, techPort{mpc.InfrastructureWiFi, 7502}, techPort{mpc.Bluetooth, 7500}),
 			ad:    []byte("summary-bytes")},
-		{name: "bob", epoch: 7, goodbye: true, ports: map[mpc.Technology]uint16{}},
-		{name: "carol", epoch: 1, advertising: true, ports: map[mpc.Technology]uint16{mpc.PeerToPeerWiFi: 9000}, ad: []byte{}},
-		{name: "dave", epoch: 9, ports: map[mpc.Technology]uint16{mpc.Bluetooth: 1}},
+		{name: []byte("bob"), epoch: 7, goodbye: true},
+		{name: []byte("carol"), epoch: 1, advertising: true, ports: ports(t, techPort{mpc.PeerToPeerWiFi, 9000}), ad: []byte{}},
+		{name: []byte("dave"), epoch: 9, ports: ports(t, techPort{mpc.Bluetooth, 1})},
 	}
 	for _, want := range cases {
 		buf, err := want.encode()
 		if err != nil {
 			t.Fatalf("encoding %s: %v", want.name, err)
 		}
-		got, err := parseBeacon(buf)
-		if err != nil {
+		var got beacon
+		if err := parseBeacon(buf, &got); err != nil {
 			t.Fatalf("parsing %s: %v", want.name, err)
 		}
 		// encode canonicalizes a nil/empty ad to empty; compare modulo that.
@@ -34,16 +47,21 @@ func TestBeaconRoundTrip(t *testing.T) {
 			t.Fatalf("%s: ad %q, want %q", want.name, got.ad, want.ad)
 		}
 		got.ad, want.ad = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", &got, want)
 		}
 	}
 }
 
 func TestBeaconRejectsGarbage(t *testing.T) {
-	good, err := (&beacon{name: "x", epoch: 3, ports: map[mpc.Technology]uint16{mpc.Bluetooth: 5}}).encode()
+	good, err := (&beacon{name: []byte("x"), epoch: 3, ports: ports(t, techPort{mpc.Bluetooth, 5})}).encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	tooManyTechs := append([]byte{}, good[:16]...) // header and the one-byte name
+	tooManyTechs = append(tooManyTechs, maxBeaconTechs+1)
+	for i := 0; i <= maxBeaconTechs; i++ {
+		tooManyTechs = append(tooManyTechs, byte(mpc.Bluetooth), 0, 5)
 	}
 	bad := [][]byte{
 		nil,
@@ -51,30 +69,32 @@ func TestBeaconRejectsGarbage(t *testing.T) {
 		append([]byte("JUNK"), good[4:]...),
 		good[:len(good)-1],
 		append(append([]byte{}, good...), 0xFF),
+		tooManyTechs,
 	}
+	var b beacon
 	for i, buf := range bad {
-		if _, err := parseBeacon(buf); err == nil {
+		if err := parseBeacon(buf, &b); err == nil {
 			t.Errorf("case %d: garbage beacon accepted", i)
 		}
 	}
-	if _, err := parseBeacon(good); err != nil {
+	if err := parseBeacon(good, &b); err != nil {
 		t.Fatalf("well-formed beacon rejected: %v", err)
 	}
 }
 
 func TestPickTechnologyPrefersFastest(t *testing.T) {
-	tech, port, err := pickTechnology(map[mpc.Technology]uint16{
-		mpc.Bluetooth:          1000,
-		mpc.PeerToPeerWiFi:     2000,
-		mpc.InfrastructureWiFi: 3000,
-	})
+	tech, port, err := pickTechnology(ports(t,
+		techPort{mpc.Bluetooth, 1000},
+		techPort{mpc.PeerToPeerWiFi, 2000},
+		techPort{mpc.InfrastructureWiFi, 3000},
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tech != mpc.PeerToPeerWiFi || port != 2000 {
 		t.Fatalf("picked %s:%d, want p2p-wifi:2000 (highest bitrate)", tech, port)
 	}
-	if _, _, err := pickTechnology(nil); err == nil {
+	if _, _, err := pickTechnology(portTable{}); err == nil {
 		t.Fatal("empty port table accepted")
 	}
 }
@@ -313,5 +333,57 @@ func TestPreambleExchange(t *testing.T) {
 	}
 	if tech != mpc.Bluetooth || peer != "alice" {
 		t.Fatalf("preamble = (%s, %s), want (bluetooth, alice)", tech, peer)
+	}
+}
+
+// TestUnchangedBeaconAllocBudget pins the idle cost of discovery: parsing
+// and handling a repeat beacon from a known, linked peer allocates
+// nothing. The beacon interval is an hour, so the endpoints' own loops
+// stay quiet while the test replays bob's datagram into alice.
+func TestUnchangedBeaconAllocBudget(t *testing.T) {
+	cfg := testConfig()
+	cfg.BeaconInterval = time.Hour
+	cfg.LossTimeout = 2 * time.Hour
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recA, recB := newCollector(), newCollector()
+	epA, err := m.Join("alice", recA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epA.Close()
+	epB, err := m.Join("bob", recB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer epB.Close()
+	epB.SetAdvertisement([]byte("b-1"))
+	waitCond(t, "alice to find bob", func() bool { return bytes.Equal(recA.adOf("bob"), []byte("b-1")) })
+	if _, err := epA.Connect("bob"); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := epA.(*Endpoint), epB.(*Endpoint)
+	b.mu.Lock()
+	datagram := bytes.Clone(b.beaconCache)
+	b.mu.Unlock()
+	src := netip.MustParseAddr("127.0.0.1")
+	var parsed beacon
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := parseBeacon(datagram, &parsed); err != nil {
+			t.Fatal(err)
+		}
+		a.handleBeacon(&parsed, src)
+	})
+	if allocs != 0 {
+		t.Errorf("repeat beacon from a linked peer: %.1f allocs, want 0", allocs)
+	}
+	a.mu.Lock()
+	known := a.peers["bob"]
+	a.mu.Unlock()
+	if known == nil || !bytes.Equal(known.ad, []byte("b-1")) {
+		t.Fatal("the replayed beacon lost bob's advertisement")
 	}
 }

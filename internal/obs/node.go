@@ -41,6 +41,7 @@ type NodeMetrics struct {
 //	                 and the peers/links/summary-entries gauges
 //	sos_store_*      storage engine: puts, evictions by reason, bytes
 //	sos_adhoc_*      secure-link layer: handshakes, frames, rejects
+//	sos_pki_*        certificate checks: cached hits and full verifies
 //	sos_net_*        transport: beacons, sessions, frames and bytes
 //	sos_secure_*     AEAD plane: seals/opens and their failures
 //	sos_telemetry_*  export plane: recorded/sent/dropped, queue depth
@@ -131,6 +132,12 @@ func RegisterNodeMetrics(reg *Registry, nm NodeMetrics) {
 			func() uint64 { return mw.Stats().Adhoc.DecryptionFailures })
 		reg.CounterFunc("sos_adhoc_beacons_skipped_total", "Discovery beacons from linked peers dropped undecoded.", nil,
 			func() uint64 { return mw.Stats().Adhoc.BeaconsSkipped })
+
+		// Certificate checks: handshakes and relayed messages alike.
+		reg.CounterFunc("sos_pki_cert_verifications_total", "Certificate verifications by path taken.", Labels{"result": "cached"},
+			func() uint64 { return mw.Verifier().Stats().Cached })
+		reg.CounterFunc("sos_pki_cert_verifications_total", "Certificate verifications by path taken.", Labels{"result": "full"},
+			func() uint64 { return mw.Verifier().Stats().Full })
 
 		// Misbehavior plane: the quarantine machinery that isolates
 		// byzantine peers (see internal/message/misbehavior.go).

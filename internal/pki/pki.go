@@ -11,6 +11,7 @@
 package pki
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -22,6 +23,7 @@ import (
 	"io"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sos/internal/id"
@@ -46,7 +48,9 @@ var (
 )
 
 // UserCert is a verified, parsed user certificate: the binding of a UserID
-// to an ECDSA public key, vouched for by the CA.
+// to an ECDSA public key, vouched for by the CA. A Verifier hands the same
+// UserCert to every caller that presents the same certificate, so holders
+// must treat it, and everything it points to, as read-only.
 type UserCert struct {
 	User   id.UserID
 	Key    *ecdsa.PublicKey
@@ -251,19 +255,44 @@ func (ca *CA) CRL() map[string]time.Time {
 	return out
 }
 
+// certCacheCap bounds a Verifier's cache of verified certificates. A
+// device meets and relays for far fewer distinct authors than this
+// between two CRL syncs; a full cache is emptied and refilled.
+const certCacheCap = 1024
+
 // Verifier validates peer certificates on a device. It holds the pinned CA
 // root and the device's last-synced revocation list.
+//
+// Every certificate that passes is cached by its exact DER bytes, so a
+// certificate met again (the same author's next message, the same peer's
+// next handshake) skips the parse and the chain build. The chain result
+// depends only on the DER, the pinned root and the time, and the root is
+// fixed at construction; a hit therefore re-checks only what can change:
+// the revocation list and the leaf's and root's validity windows at the
+// current time. A hit that fails a re-check takes the full path, which
+// reports the same error a cold verify would.
 type Verifier struct {
-	mu    sync.RWMutex
-	roots *x509.CertPool
-	crl   map[string]time.Time
-	now   func() time.Time
+	mu       sync.RWMutex
+	roots    *x509.CertPool
+	rootFrom time.Time // the pinned root's validity window
+	rootTo   time.Time
+	crl      map[string]time.Time
+	now      func() time.Time
+
+	cache        map[string]*UserCert // DER -> verified form
+	cached, full atomic.Uint64
+}
+
+// VerifierStats counts certificate verifications by the path they took.
+type VerifierStats struct {
+	Cached uint64 // answered from the cache after the CRL and validity re-check
+	Full   uint64 // parsed and chain-verified, whatever the result
 }
 
 // NewVerifier builds a verifier trusting the given DER-encoded root. The
 // clock may be nil, in which case wall time is used.
 func NewVerifier(rootDER []byte, now func() time.Time) (*Verifier, error) {
-	root, err := x509.ParseCertificate(rootDER)
+	root, err := x509.ParseCertificate(bytes.Clone(rootDER))
 	if err != nil {
 		return nil, fmt.Errorf("pki: parsing pinned root: %w", err)
 	}
@@ -272,7 +301,14 @@ func NewVerifier(rootDER []byte, now func() time.Time) (*Verifier, error) {
 	if now == nil {
 		now = time.Now
 	}
-	return &Verifier{roots: pool, crl: make(map[string]time.Time), now: now}, nil
+	return &Verifier{
+		roots:    pool,
+		rootFrom: root.NotBefore,
+		rootTo:   root.NotAfter,
+		crl:      make(map[string]time.Time),
+		now:      now,
+		cache:    make(map[string]*UserCert),
+	}, nil
 }
 
 // UpdateCRL replaces the verifier's revocation list. Only the cloud calls
@@ -294,11 +330,59 @@ func (v *Verifier) CRLSize() int {
 	return len(v.crl)
 }
 
+// Stats returns the verification counters.
+func (v *Verifier) Stats() VerifierStats {
+	return VerifierStats{Cached: v.cached.Load(), Full: v.full.Load()}
+}
+
 // Verify parses and validates a DER certificate: it must chain to the
 // pinned root, be within its validity window, not appear on the synced
 // revocation list, carry an ECDSA public key, and name a well-formed user
 // identifier.
+//
+// The returned certificate owns a private copy of der and may be shared
+// with every later caller that presents the same bytes: treat it as
+// read-only.
 func (v *Verifier) Verify(der []byte) (*UserCert, error) {
+	v.mu.RLock()
+	uc := v.cache[string(der)]
+	if uc != nil && v.stillValidLocked(uc) {
+		v.mu.RUnlock()
+		v.cached.Add(1)
+		return uc, nil
+	}
+	v.mu.RUnlock()
+
+	v.full.Add(1)
+	uc, err := v.verifyFull(bytes.Clone(der))
+	if err != nil {
+		return nil, err
+	}
+	v.mu.Lock()
+	if len(v.cache) >= certCacheCap {
+		clear(v.cache)
+	}
+	v.cache[string(uc.DER)] = uc
+	v.mu.Unlock()
+	return uc, nil
+}
+
+// stillValidLocked re-runs, for a cached certificate, the checks whose
+// answer can change after it was verified: the revocation list and the
+// leaf's and root's validity windows at the current time. Callers hold
+// v.mu.
+func (v *Verifier) stillValidLocked(uc *UserCert) bool {
+	if _, revoked := v.crl[uc.Serial]; revoked {
+		return false
+	}
+	now := v.now()
+	return !now.Before(uc.Cert.NotBefore) && !now.After(uc.Cert.NotAfter) &&
+		!now.Before(v.rootFrom) && !now.After(v.rootTo)
+}
+
+// verifyFull runs every check on der, which the returned certificate
+// keeps: callers pass a copy they own.
+func (v *Verifier) verifyFull(der []byte) (*UserCert, error) {
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
 		return nil, fmt.Errorf("pki: parsing certificate: %w", err)
@@ -342,6 +426,7 @@ func (v *Verifier) Verify(der []byte) (*UserCert, error) {
 }
 
 // VerifyFor validates der and additionally requires it to belong to want.
+// Like Verify, it returns a shared, read-only certificate.
 // Forwarded originator certificates are checked this way (paper Fig. 3b:
 // Bob forwards Alice's certificate alongside her message).
 func (v *Verifier) VerifyFor(der []byte, want id.UserID) (*UserCert, error) {

@@ -132,6 +132,24 @@ func TestDebugSurfacesEndToEnd(t *testing.T) {
 	if v := metrics["sos_message_verify_failures_total"]; v != 0 {
 		t.Errorf("verify failures = %v, want 0", v)
 	}
+
+	// Bob's reply reaches alice over the link whose handshake already
+	// verified bob's certificate, so the reply's originator check is a
+	// certificate-cache hit.
+	if _, err := bob.Post([]byte("reply")); err != nil {
+		t.Fatal(err)
+	}
+	cached := `sos_pki_cert_verifications_total{result="cached"}`
+	for stop := time.Now().Add(15 * time.Second); metrics[cached] == 0; {
+		if time.Now().After(stop) {
+			t.Fatalf("%s = 0 after alice received bob's reply, want nonzero (full = %v)",
+				cached, metrics[`sos_pki_cert_verifications_total{result="full"}`])
+		}
+		time.Sleep(20 * time.Millisecond)
+		if metrics, err = obs.ScrapeProm(client, base); err != nil {
+			t.Fatalf("scraping live node: %v", err)
+		}
+	}
 	if _, ok := metrics["sos_go_goroutines"]; !ok {
 		t.Error("runtime gauges missing")
 	}
